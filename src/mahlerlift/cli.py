@@ -3,6 +3,8 @@
 Conventions
 -----------
 * Rationals cross the boundary as strings like ``3/4``; never floats.
+  ``--alpha``, ``--tau`` and ``--poly`` take values that start with a
+  minus sign as separate arguments too (``--alpha -5/11``).
 * ``--json`` prints a single JSON document on stdout; human-readable
   notes then go to stderr.  Without it, plain tables go to stdout.
 * Exit codes: 0 success / verified; 1 negative mathematical result
@@ -203,7 +205,7 @@ def _escalate(fn, deg, max_deg):
         try:
             return fn(d), tried
         except NoLiftAtDegree:
-            d *= 2
+            d = 2 * d if d else 1
     raise NoLiftAtDegree(max_deg)
 
 
@@ -468,6 +470,26 @@ def _build_parser():
     return ap
 
 
+# options whose value may start with "-", which argparse would take for an option
+_SIGNED_VALUE_OPTIONS = ("--alpha", "--tau", "--poly")
+
+
+def _attach_signed_values(argv):
+    """Rewrite "--alpha -5/11" as "--alpha=-5/11" so argparse reads it as the value."""
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok in _SIGNED_VALUE_OPTIONS and nxt.startswith("-") and not nxt.startswith("--"):
+            out.append(f"{tok}={nxt}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv=None):
     budget = os.environ.get("MAHLER_BUDGET_MB")
     if budget:
@@ -481,7 +503,7 @@ def main(argv=None):
             return 2
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -19,6 +19,14 @@ of geometric sums, and rank(M) = rank(M M^T) holds over Q because a sum
 of rational squares vanishes only term by term.  This keeps dimension
 profiles exact at box sizes whose column count (delta1+1)^{m^2} (delta2+1)
 would be far out of reach.
+
+All of this runs on integers: row k is first multiplied by the constant
+prod_ij D_k[ij]^delta1 * Q_k^delta2, where D_k[ij] is the denominator of
+the entry (i, j) of A_k(alpha) and Q_k that of alpha^{q^k}.  Scaling a row
+by a nonzero constant moves neither its span nor any rank, and it turns
+every entry into an integer and every geometric sum into a homogeneous
+integer one, H(a, b, n) = sum_e a^e b^{n-e}, so ``GramRank`` and ``rref``
+run fraction-free.
 """
 
 from dataclasses import dataclass
@@ -28,7 +36,7 @@ from typing import Optional
 from . import linalg
 from .errors import StabilizationFailed
 from .linalg import GramRank
-from .scalars import QQ, ZERO, ONE, qq_str
+from .scalars import QQ, ZERO, ONE, clear_denominators, qq_str
 from .systems import EvalChain, require_regular
 
 __all__ = [
@@ -46,6 +54,20 @@ __all__ = [
     "shift_check",
     "vector_str",
 ]
+
+
+def _homogeneous_powers(a, b, n):
+    """[a^e b^{n-e} for e = 0..n]."""
+    out = [1] * (n + 1)
+    acc = 1
+    for e in range(1, n + 1):
+        acc *= a
+        out[e] = acc
+    acc = 1
+    for e in range(n - 1, -1, -1):
+        acc *= b
+        out[e] *= acc
+    return out
 
 
 class MonomialBasis:
@@ -93,16 +115,33 @@ class MonomialBasis:
 
     def row_of_values(self, mat, x):
         """One evaluation row: mat^nu * x^lam in basis order."""
-        uvals = self.monomial_values(mat)
-        xpow = [ONE]
-        for _ in range(self.delta2):
-            xpow.append(xpow[-1] * x)
-        row = []
-        for i, _nu in enumerate(self.nus):
-            u = uvals[i]
-            for lam in range(self.delta2 + 1):
-                row.append(u * xpow[lam])
-        return row
+        scale = x.denominator ** self.delta2
+        for row in mat:
+            for v in row:
+                scale *= v.denominator ** self.delta1
+        return [QQ(v, scale) for v in self.integer_row(mat, x)]
+
+    def integer_row(self, mat, x):
+        """The evaluation row at (mat, x) times a nonzero constant, in integers.
+
+        With mat[i][j] = N_ij / D_ij and x = P / Q in lowest terms, entry
+        (nu, lam) is prod_ij N_ij^nu_ij D_ij^{delta1 - nu_ij} * P^lam Q^{delta2 - lam},
+        i.e. the row times prod_ij D_ij^delta1 * Q^delta2; the scaling leaves
+        row spaces, hence every rref, unchanged.
+        """
+        d1, d2 = self.delta1, self.delta2
+        tables = [_homogeneous_powers(v.numerator, v.denominator, d1)
+                  for row in mat for v in row]
+        zpw = _homogeneous_powers(x.numerator, x.denominator, d2)
+        out = []
+        for nu in self.nus:
+            u = 1
+            for tbl, e in zip(tables, nu):
+                t = tbl[e]
+                if t != 1:
+                    u *= t
+            out.extend([u * z for z in zpw])
+        return out
 
     def evaluate(self, coeffs, mat, x):
         """Exact value of a coefficient vector (sparse dict) at (mat, x)."""
@@ -144,8 +183,11 @@ def eval_matrix(sys, alpha, delta1, delta2, kset, chain=None):
 
 def cell_rref(sys, alpha, delta1, delta2, kset, chain=None):
     """RREF of the evaluation matrix: (basis, pivot columns, reduced rows)."""
-    mb, rows = eval_matrix(sys, alpha, delta1, delta2, kset, chain=chain)
-    pivots, red = linalg.rref(rows)
+    require_regular(sys, alpha)
+    chain = chain or EvalChain(sys, alpha)
+    mb = MonomialBasis(sys.m, delta1, delta2)
+    pivots, red = linalg.rref([mb.integer_row(chain.mat(k), chain.x(k))
+                               for k in sorted(kset)])
     return mb, tuple(pivots), tuple(red)
 
 
@@ -190,27 +232,20 @@ def kernel_basis(sys, alpha, delta1, delta2, k_min=1, max_k=24, heldout_count=4,
             raise StabilizationFailed(max_k, f"kernel of box ({delta1},{delta2})")
         while len(rows) < size:
             k = k_min + len(rows)
-            rows.append(mb.row_of_values(chain.mat(k), chain.x(k)))
+            rows.append(mb.integer_row(chain.mat(k), chain.x(k)))
         kset = tuple(range(k_min, k_min + size))
         pivots, red = linalg.rref(rows[:size])
         history.append((tuple(pivots), tuple(red)))
         if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            _, vectors = linalg.nullspace_sparse(rows[:size], len(mb))
+            vectors = linalg.kernel_from_rref(pivots, red, len(mb))
+            # each vector times its denominator lcm, as (column, integer) pairs
+            scaled = [tuple(zip(vec, clear_denominators(vec.values()))) for vec in vectors]
             held = tuple(range(kset[-1] + 1, kset[-1] + 1 + heldout_count))
-            ok = True
-            for k in held:
-                row = mb.row_of_values(chain.mat(k), chain.x(k))
-                for vec in vectors:
-                    acc = ZERO
-                    for idx, c in vec.items():
-                        v = row[idx]
-                        if v != 0:
-                            acc += c * v
-                    if acc != 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
+            # an empty kernel holds vacuously: skip the largest iterates yet
+            ok = not scaled or all(sum(c * row[idx] for idx, c in vec) == 0
+                                   for row in (mb.integer_row(chain.mat(k), chain.x(k))
+                                               for k in held)
+                                   for vec in scaled)
             if ok:
                 return KernelBasis(mb, tuple(vectors), tuple(pivots), kset, held)
         size = size * 2 if len(pivots) == size else size + 2
@@ -228,19 +263,16 @@ def is_member(mb, coeffs, sys, alpha, kset, chain=None):
 # ---------------------------------------------------------------------------
 # ranks through Gram inner products
 
-def _geom_sum(w, n):
-    """1 + w + ... + w^n, exactly."""
-    if w == 1:
-        return QQ(n + 1)
-    return (w ** (n + 1) - 1) / (w - 1)
-
-
 class _GramPair:
-    """Gram inner products of evaluation rows, closed form, cached by iterate pair.
+    """Integer Gram inner products of row-scaled evaluation rows, cached by iterate pair.
 
-    <row_k, row_l> splits as a y-part (a product over matrix positions of
-    geometric sums of entry products) and a z-part (a geometric sum in
-    x_k x_l); the y-part is independent of delta2 and cached separately.
+    Row k is ``MonomialBasis.integer_row`` at iterate k: with
+    A_k(alpha)[i][j] = N_k[ij] / D_k[ij] and x_k = P_k / Q_k in lowest
+    terms, the evaluation row times prod_ij D_k[ij]^delta1 * Q_k^delta2.
+    <row_k, row_l> then splits as a y-part
+    prod_ij H(N_k[ij] N_l[ij], D_k[ij] D_l[ij], delta1) and a z-part
+    H(P_k P_l, Q_k Q_l, delta2); the y-part is independent of delta2 and
+    cached separately.
     """
 
     def __init__(self, chain, delta1):
@@ -253,11 +285,11 @@ class _GramPair:
         val = self._ucache.get(key)
         if val is None:
             a, b = self.chain.mat(k), self.chain.mat(l)
-            m = self.chain.sys.m
-            val = ONE
-            for i in range(m):
-                for j in range(m):
-                    val = val * _geom_sum(a[i][j] * b[i][j], self.delta1)
+            val = 1
+            for ra, rb in zip(a, b):
+                for x, y in zip(ra, rb):
+                    val *= sum(_homogeneous_powers(x.numerator * y.numerator,
+                                                   x.denominator * y.denominator, self.delta1))
             self._ucache[key] = val
         return val
 
@@ -265,7 +297,9 @@ class _GramPair:
         chain = self.chain
 
         def pair(k, l):
-            return self.u_inner(k, l) * _geom_sum(chain.x(k) * chain.x(l), delta2)
+            xk, xl = chain.x(k), chain.x(l)
+            return self.u_inner(k, l) * sum(_homogeneous_powers(
+                xk.numerator * xl.numerator, xk.denominator * xl.denominator, delta2))
 
         return pair
 

@@ -1,17 +1,24 @@
-"""Exact linear algebra over the rationals (and any exact field).
+"""Exact linear algebra over the rationals; no floating point ever decides a rank.
 
-Everything here is division-based Gauss-Jordan over exact field elements;
-no floating point ever decides a rank.  The functions are generic over
-the entry type: anything with +, -, *, /, == 0 works, so the same code
-serves rational scalars and rational functions.
+``rref``, ``rank``, ``nullspace_sparse``, ``nullspace_dense`` and
+``solve_particular`` take rational entries only (ints, ``Fraction`` or
+the ``scalars.QQ`` backend; anything with ``.numerator`` and
+``.denominator``).  ``rref`` clears each row of denominators and runs
+fraction-free (Bareiss) Gauss-Jordan on integers, so no step pays for a
+gcd; only the final division by the last pivot builds rationals.
 
-``GramRank`` maintains the rank of a growing family of vectors through
-an incremental exact LDL^T factorization of their Gram matrix.  Over an
-ordered field rank(G) = rank of the family, and positive semidefiniteness
-makes pivot skipping safe: a zero pivot certifies a dependent vector.
+``det``, ``mat_mul`` and ``mat_vec`` stay generic over the entry type
+(anything with +, -, *, /, == 0), so the same code serves rational
+scalars and the rational-function matrices of a system.
+
+``GramRank`` maintains the rank of a growing family of integer vectors
+through an incremental fraction-free LDL^T factorization of their Gram
+matrix.  Over Q rank(G) = rank of the family, and positive
+semidefiniteness makes pivot skipping safe: a zero leading minor
+certifies a dependent vector.
 """
 
-from .scalars import QQ, ZERO, ONE
+from .scalars import QQ, ZERO, ONE, clear_denominators
 
 __all__ = [
     "mat_mul",
@@ -19,6 +26,7 @@ __all__ = [
     "identity_like",
     "rref",
     "rank",
+    "kernel_from_rref",
     "nullspace_sparse",
     "nullspace_dense",
     "solve_particular",
@@ -63,47 +71,60 @@ def rref(rows):
     Zero rows are dropped; the reduced rows are a canonical basis of the
     row space, so two row sets span the same space iff their rref output
     is equal.
+
+    Each row is cleared of denominators, then fraction-free Gauss-Jordan
+    runs on integers: with pivot p and previous pivot prev, every other
+    row becomes (p * row - f * pivot_row) // prev.  Every entry stays an
+    integer minor of the cleared matrix, so each division is exact, and
+    afterwards every pivot entry equals the last pivot; dividing by it
+    gives the rational RREF.
     """
-    work = [list(r) for r in rows]
+    work = [clear_denominators(r) for r in rows]
     if not work:
         return [], []
     ncols = len(work[0])
     pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
         sel = None
         for i in range(r, len(work)):
-            if work[i][c] != 0:
+            if work[i][c]:
                 sel = i
                 break
         if sel is None:
             continue
         work[r], work[sel] = work[sel], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
+        wr = work[r]
+        p = wr[c]
         for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                wr = work[r]
-                work[i] = [a - f * b for a, b in zip(work[i], wr)]
+            if i == r:
+                continue
+            row = work[i]
+            f = row[c]
+            if f:
+                work[i] = [(p * a - f * b) // prev for a, b in zip(row, wr)]
+            elif p != prev:
+                work[i] = [p * a // prev if a else a for a in row]
+        prev = p
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return pivots, [tuple(row) for row in work[:r]]
+    return pivots, [tuple(QQ(x, prev) if x else ZERO for x in row) for row in work[:r]]
 
 
 def rank(rows):
     return len(rref(rows)[0])
 
 
-def nullspace_sparse(rows, ncols):
+def kernel_from_rref(pivots, red, ncols):
     """Kernel basis as sparse dicts {column: coefficient}, one per free column.
 
-    The basis is the reduced-echelon one: vector for free column f has a 1
-    at f and -rref[r][f] at each pivot column, zeros elsewhere.
+    Takes the output of ``rref``.  The basis is the reduced-echelon one:
+    the vector for free column f has a 1 at f and -red[r][f] at each pivot
+    column, zeros elsewhere.
     """
-    pivots, red = rref(rows)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
@@ -115,7 +136,13 @@ def nullspace_sparse(rows, ncols):
             if c != 0:
                 vec[p] = -c
         basis.append(vec)
-    return pivots, basis
+    return basis
+
+
+def nullspace_sparse(rows, ncols):
+    """Pivot columns and the kernel basis of ``kernel_from_rref``."""
+    pivots, red = rref(rows)
+    return pivots, kernel_from_rref(pivots, red, ncols)
 
 
 def nullspace_dense(rows, ncols):
@@ -170,47 +197,54 @@ def det(A):
 
 
 class GramRank:
-    """Rank of a growing vector family via exact incremental LDL^T.
+    """Rank of a growing integer vector family via incremental Bareiss LDL^T.
 
     ``pair(a, b)`` must return the exact inner product of the vectors
-    labeled a and b.  ``add(label)`` reports whether the new vector is
-    independent of those already accepted; dependent vectors are
-    discarded (their Schur complement row is identically zero because
-    the Gram matrix is positive semidefinite over Q).
+    labeled a and b, as an integer.  ``add(label)`` reports whether the new
+    vector is independent of those already accepted; dependent vectors are
+    discarded.
+
+    With d_k the k-th leading principal minor of the accepted Gram block
+    (d_{-1} = 1), a new row a = [pair(label, l_j)] runs through the
+    accepted pivots k in order: a[c] = (d_k a[c] - a[k] L_c[k]) // d_{k-1}
+    for the later columns c, and the diagonal a_nn = (d_k a_nn - a[k]^2)
+    // d_{k-1}, where L_c is the row a that pivot c ended with.  Every
+    value is an integer minor (Sylvester's identity), so each division is
+    exact; the final a_nn is the next leading minor, positive if the
+    vector is independent and zero if it is not, because the Gram matrix
+    is positive semidefinite and its accepted block positive definite.
     """
 
     def __init__(self, pair):
         self.pair = pair
         self.labels = []       # labels of independent vectors, in order
-        self._w = []           # per pivot: coefficients against earlier pivots
-        self._d = []           # per pivot: nonzero LDL diagonal entry
+        self._rows = []        # per pivot: its eliminated Gram row L
+        self._d = [1]          # leading principal minors d_{-1}, d_0, d_1, ...
 
     @property
     def rank(self):
         return len(self.labels)
 
     def _forward(self, label):
-        b = [self.pair(label, lj) for lj in self.labels]
-        c = self.pair(label, label)
-        w = []
-        for t in range(len(self.labels)):
-            s = b[t]
-            wt = self._w[t]
-            for j in range(t):
-                s -= w[j] * wt[j] * self._d[j]
-            w.append(s / self._d[t])
-        dnew = c
-        for j in range(len(w)):
-            dnew -= w[j] * w[j] * self._d[j]
-        return w, dnew
+        pair = self.pair
+        a = [pair(label, lj) for lj in self.labels]
+        ann = pair(label, label)
+        d, rows = self._d, self._rows
+        n = len(a)
+        for k in range(n):
+            dk, dprev, ak = d[k + 1], d[k], a[k]
+            for c in range(k + 1, n):
+                a[c] = (dk * a[c] - ak * rows[c][k]) // dprev
+            ann = (dk * ann - ak * ak) // dprev
+        return a, ann
 
     def add(self, label):
-        w, dnew = self._forward(label)
-        if dnew == 0:
+        a, ann = self._forward(label)
+        if ann == 0:
             return False
         self.labels.append(label)
-        self._w.append(w)
-        self._d.append(dnew)
+        self._rows.append(a)
+        self._d.append(ann)
         return True
 
     def in_span(self, label):

@@ -31,6 +31,7 @@ __all__ = [
     "ONE",
     "qq_from_str",
     "qq_str",
+    "clear_denominators",
     "LogValue",
     "log_of_integer",
     "log_abs",
@@ -63,6 +64,18 @@ def qq_str(r):
     if r.denominator == 1:
         return str(r.numerator)
     return f"{r.numerator}/{r.denominator}"
+
+
+def clear_denominators(values):
+    """The rationals times the lcm of their denominators, as a list of integers."""
+    den = 1
+    for x in values:
+        d = x.denominator
+        if d != 1:
+            den = math.lcm(den, d)
+    if den == 1:
+        return [x.numerator for x in values]
+    return [x.numerator * (den // x.denominator) for x in values]
 
 
 @dataclass(frozen=True)

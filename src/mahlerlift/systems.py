@@ -218,9 +218,12 @@ class EvalChain:
         while len(self.steps) <= k:
             j = len(self.steps)
             try:
-                self.steps.append(self.sys.A_at(self.x(j)))
+                val = self.sys.A_at(self.x(j))
             except ZeroDivisionError:
                 raise NotRegularAt(j, "pole") from None
+            if linalg.det(val) == 0:
+                raise NotRegularAt(j, "singular")
+            self.steps.append(val)
         return self.steps[k]
 
     def mat(self, k):

@@ -4,7 +4,7 @@ import pytest
 
 from mahlerlift import linalg
 from mahlerlift.errors import StabilizationFailed
-from mahlerlift.ideal import (MonomialBasis, cell_rref, dim_profile, doubling_check,
+from mahlerlift.ideal import (MonomialBasis, _GramPair, cell_rref, dim_profile, doubling_check,
                               eval_matrix, is_member, kernel_basis, shift_check,
                               vector_str)
 from mahlerlift.scalars import QQ
@@ -34,6 +34,26 @@ def test_eval_matrix_cantor_offdiagonal(cantor2, half):
     mb, rows = eval_matrix(cantor2, half, 1, 0, [2])
     idx = mb.index((0, 1, 0, 0), 0)  # the single power of the (1,2) entry
     assert rows[0][idx] == QQ(3, 4)
+
+
+def test_integer_rows_and_gram_pairs(cantor2, cantor3):
+    """Integer rows are constant multiples of the evaluation rows, and the
+    closed-form Gram pairs are their exact inner products."""
+    for sys_, alpha, boxes in ((cantor2, QQ(-5, 7), ((1, 0), (1, 2), (2, 1))),
+                               (cantor3, QQ(3, 4), ((1, 1),))):
+        chain = EvalChain(sys_, alpha)
+        for delta1, delta2 in boxes:
+            mb = MonomialBasis(sys_.m, delta1, delta2)
+            rows = {k: mb.integer_row(chain.mat(k), chain.x(k)) for k in range(1, 5)}
+            for k, row in rows.items():
+                ref = mb.row_of_values(chain.mat(k), chain.x(k))
+                scale = QQ(row[0]) / ref[0]
+                assert all(v.denominator == 1 for v in row)
+                assert [v * scale for v in ref] == row
+            pair = _GramPair(chain, delta1).pair_fn(delta2)
+            for k in rows:
+                for l in rows:
+                    assert pair(k, l) == sum(a * b for a, b in zip(rows[k], rows[l]))
 
 
 def test_kernel_trivial_box(trivial, half):

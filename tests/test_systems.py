@@ -137,6 +137,16 @@ def test_certificates(cantor2, cantor3, thue_morse, shrinking16, half):
         eval_cocycle(shrinking16, QQ(1, 4), 3)
 
 
+def test_evalchain_raises_on_singular_step(shrinking16):
+    alpha = QQ(1, 4)
+    failing_k = certify_regular(shrinking16, alpha).failing_k
+    chain = EvalChain(shrinking16, alpha)
+    assert chain.mat(1) == ((QQ(-3),),)  # A(1/4) = -3 is still regular
+    with pytest.raises(NotRegularAt) as err:
+        chain.mat(3)
+    assert err.value.k == failing_k == 1 and err.value.kind == "singular"
+
+
 def test_certificate_pole_detection():
     sys_ = MahlerSystem(q=2, m=1, A=((RatFunc(Poly([1]), Poly([QQ(-1, 16), 1])),),),
                         name="pole16")

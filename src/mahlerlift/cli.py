@@ -10,8 +10,7 @@ Conventions
 * Exit codes: 0 success / verified; 1 negative mathematical result
   (refuted relation, no lift at the degree cap, not regular, failed
   stabilization); 2 usage or input errors.
-* Reruns with identical inputs produce byte-identical output; ``--jobs``
-  only fans row-independent work over threads and never reorders it.
+* Reruns with identical inputs produce byte-identical output.
 * ``MAHLER_BUDGET_MB`` caps the address space as a guard against big
   integer blowups; hitting it exits with code 2.
 """
@@ -28,7 +27,6 @@ from .errors import (MahlerError, NoLiftAtDegree, NotRegularAt,
 from .polyring import TruncSeries
 from .scalars import QQ, qq_from_str, qq_str
 from .systems import EvalChain, corpus_path, load_system
-from .util import parallel_map
 
 GUARD = lifting.DEFAULT_GUARD
 
@@ -282,11 +280,7 @@ def cmd_kron_lift(args):
 def cmd_hilbert(args):
     sys_ = _load(args.system)
     f = systems.solve_series(sys_, args.order)
-    phis = parallel_map(
-        lambda d: hilbert.phi_function(f, d, args.reldeg, args.order),
-        range(args.dmax + 1), args.jobs)
-    prof = hilbert.PhiProfile(tuple(range(args.dmax + 1)), tuple(phis),
-                              args.reldeg, args.order)
+    prof = hilbert.phi_profile(f, args.dmax, args.reldeg, args.order)
     est = hilbert.estimate_trdeg(prof)
     bounds = hilbert.bounds_check(prof, est.t_hat)
     doc = {"system": sys_.name, "profile": prof.to_json(),
@@ -367,8 +361,6 @@ def _build_parser():
         p.add_argument("--system", required=True,
                        help="system JSON file (bundled names like cantor3.json work)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for row-independent work")
         if alpha:
             p.add_argument("--alpha", required=True, help="rational point, e.g. 1/2")
 

@@ -7,8 +7,10 @@ estimates.  On top of it this module provides
 
 * symbolic iterated products A_k(z) = A(z) A(z^q) ... A(z^{q^{k-1}})
   and their exact evaluation at a rational point,
-* a coefficient-recursion series solver and an independent residual
-  verifier,
+* a series solver and an independent residual verifier; the solver
+  recurs on the denominator-cleared rows D_i f_i(z) = sum_j P_ij(z) f_j(z^q)
+  over the nonzero terms of D and P only, so order N costs
+  O(N m (deg D + m deg P / q)) rational operations,
 * a finite certificate that a point alpha is regular (A(alpha^{q^k})
   defined and invertible for *all* k >= 0), and
 * the unit augmentation that adjoins the constant function 1.
@@ -29,7 +31,7 @@ from typing import Optional
 from . import linalg
 from .errors import (AlphaOutOfRange, AmbiguousInitialVector, DegreeBudgetExceeded,
                      InconsistentInitialVector, NotRegularAt, PoleAtOrigin)
-from .polyring import Poly, RatFunc, TruncSeries, series_of_ratfunc
+from .polyring import Poly, RatFunc, TruncSeries
 from .scalars import QQ, ZERO, ONE, qq_from_str, qq_str
 
 __all__ = [
@@ -84,10 +86,6 @@ class MahlerSystem:
 
     def max_entry_degree(self):
         return max(max(e.num.degree, e.den.degree) for row in self.A for e in row)
-
-    def entry_series(self, order):
-        """Series expansions of all entries; PoleAtOrigin if any den(0) = 0."""
-        return tuple(tuple(series_of_ratfunc(e, order) for e in row) for row in self.A)
 
     def A_at(self, x):
         """Exact evaluation A(x); ZeroDivisionError on a pole."""
@@ -255,6 +253,32 @@ def eval_cocycle(sys, alpha, k, chain=None):
 # ---------------------------------------------------------------------------
 # series solving and verification
 
+def _cleared_rows(sys):
+    """Sparse terms of the cleared rows D_i(z) f_i(z) = sum_j P_ij(z) f_j(z^q).
+
+    D_i is the lcm of row i's denominators and P_ij = (D_i / den_ij) num_ij.
+    Per row: D_i[0], the nonzero (t, D_i[t]) with t >= 1, and for each
+    residue r mod q the nonzero (u, j, P_ij[u]) with u = r mod q; both lists
+    are sorted by exponent so the recursion can stop at the first one above n.
+    """
+    q = sys.q
+    rows = []
+    for row in sys.A:
+        D = Poly.one()
+        for e in row:
+            D = D.lcm(e.den)
+        by_residue = [[] for _ in range(q)]
+        for j, e in enumerate(row):
+            for u, p in enumerate(((D // e.den) * e.num).coeffs):  # exact: den | D
+                if p != 0:
+                    by_residue[u % q].append((u, j, p))
+        for terms in by_residue:
+            terms.sort()
+        d_terms = [(t, d) for t, d in enumerate(D.coeffs) if t >= 1 and d != 0]
+        rows.append((D[0], d_terms, by_residue))
+    return rows
+
+
 def solve_series(sys, order):
     """Solve f(z) = A(z) f(z^q) mod z^order by coefficient recursion.
 
@@ -262,14 +286,29 @@ def solve_series(sys, order):
     system carries one; otherwise ker(A(0) - I) must have dimension <= 1
     (dimension 0 forces the zero solution, dimension 1 is normalized so
     its first nonzero entry is 1).
+
+    The recursion runs on the cleared rows D_i f_i(z) = sum_j P_ij(z) f_j(z^q)
+    (see ``_cleared_rows``): coefficient n of row i is
+
+        D_i[0] c_i[n] = sum_j sum_{u = n mod q, u <= n} P_ij[u] c_j[(n - u) / q]
+                        - sum_{1 <= t <= n} D_i[t] c_i[n - t],
+
+    where (n - u) / q < n, so it is well-founded.  It visits only the
+    nonzero terms of D and P: O(order * m * (deg D + m deg P / q))
+    rational operations.  D_i[0] = 0 exactly when an entry of row i has
+    a pole at 0.
     """
+    if order < 1:
+        raise ValueError("a truncated series needs at least one coefficient")
     m, q = sys.m, sys.q
-    B = sys.entry_series(order)
-    A0 = tuple(tuple(B[i][j][0] for j in range(m)) for i in range(m))
+    rows = _cleared_rows(sys)
+    if any(d0 == 0 for d0, _, _ in rows):
+        raise PoleAtOrigin("denominator vanishes at the origin")
+    A0 = tuple(tuple(e.num[0] / e.den[0] for e in row) for row in sys.A)
     f0 = sys.f0
     if f0 is None:
-        rows = [tuple(A0[i][j] - (ONE if i == j else ZERO) for j in range(m)) for i in range(m)]
-        _, basis = linalg.nullspace_dense(rows, m)
+        rows0 = [tuple(A0[i][j] - (ONE if i == j else ZERO) for j in range(m)) for i in range(m)]
+        _, basis = linalg.nullspace_dense(rows0, m)
         if len(basis) == 0:
             f0 = (ZERO,) * m
         elif len(basis) == 1:
@@ -289,19 +328,23 @@ def solve_series(sys, order):
     coeffs = [[ZERO] * order for _ in range(m)]
     for i in range(m):
         coeffs[i][0] = f0[i]
-    # c_i[n] = sum_j sum_{u + q v = n} B_ij[u] c_j[v]; v <= n/q < n keeps it well-founded
     for n in range(1, order):
-        for i in range(m):
+        r = n % q
+        for ci, (d0, d_terms, by_residue) in zip(coeffs, rows):
             acc = ZERO
-            for v in range(0, n // q + 1):
-                u = n - q * v
-                for j in range(m):
-                    b = B[i][j][u]
-                    if b != 0:
-                        c = coeffs[j][v]
-                        if c != 0:
-                            acc += b * c
-            coeffs[i][n] = acc
+            for u, j, p in by_residue[r]:
+                if u > n:
+                    break
+                c = coeffs[j][(n - u) // q]
+                if c:
+                    acc += p * c
+            for t, d in d_terms:
+                if t > n:
+                    break
+                c = ci[n - t]
+                if c:
+                    acc -= d * c
+            ci[n] = acc if d0 == 1 else acc / d0
     return tuple(TruncSeries(c) for c in coeffs)
 
 

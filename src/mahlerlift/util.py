@@ -1,19 +1,7 @@
-"""Small shared helpers."""
+"""Shared helpers; none at present.
 
-from concurrent.futures import ThreadPoolExecutor
+The module is kept because perfbench/tracer.py imports every layer module
+by name, this one included.
+"""
 
-__all__ = ["parallel_map"]
-
-
-def parallel_map(fn, items, jobs=1):
-    """Ordered map, optionally fanned out over a thread pool.
-
-    Results are collected in input order, so output is identical for any
-    jobs value; workers must only read shared state that was fully built
-    beforehand.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+__all__ = []

@@ -35,3 +35,22 @@ def test_lift_accepts_negative_alpha_and_tau_arguments(capsys):
 def test_missing_option_value_is_a_usage_error(capsys):
     code, out = _run(capsys, ["regular", "--system", "cantor2.json", "--alpha"])
     assert code == 2 and out == ""
+
+
+def test_solve_order_zero_and_pole_are_input_errors(capsys, tmp_path):
+    code, out = _run(capsys, ["solve", "--system", "cantor2.json", "--order", "0", "--json"])
+    assert code == 2 and out == ""
+    pole = tmp_path / "pole.json"
+    pole.write_text(json.dumps({"name": "pole", "q": 2, "m": 1,
+                                "A": [[{"num": ["1"], "den": ["0", "1"]}]], "f0": ["1"]}))
+    code, out = _run(capsys, ["solve", "--system", str(pole), "--order", "8", "--json"])
+    assert code == 2 and out == ""
+
+
+def test_hilbert_profile_is_computed_serially(capsys):
+    code, out = _run(capsys, ["hilbert", "--system", "cantor2.json", "--dmax", "3", "--json"])
+    doc = json.loads(out)
+    assert code == 0 and doc["profile"]["phi"] == [1, 2, 3, 4]
+    assert doc["trdeg"]["t_hat"] == 1
+    code, out = _run(capsys, ["hilbert", "--system", "cantor2.json", "--jobs", "2"])
+    assert code == 2 and out == ""

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,7 +9,7 @@ from mahlerlift import (augment_with_unit, certify_regular, cocycle, eval_cocycl
 from mahlerlift.errors import (AlphaOutOfRange, AmbiguousInitialVector,
                                DegreeBudgetExceeded, InconsistentInitialVector,
                                NotRegularAt, PoleAtOrigin)
-from mahlerlift.polyring import Poly, RatFunc, TruncSeries
+from mahlerlift.polyring import Poly, RatFunc, TruncSeries, series_of_ratfunc
 from mahlerlift.scalars import QQ
 from mahlerlift.systems import EvalChain, MahlerSystem
 
@@ -103,6 +104,90 @@ def test_solve_initial_vector_handling(cantor2):
                         f0=(QQ(1),))
     with pytest.raises(PoleAtOrigin):
         solve_series(pole, 8)
+
+
+def test_solve_rejects_empty_order_and_pole(cantor2):
+    for order in (0, -3):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            solve_series(cantor2, order)
+    # the pole sits in one off-diagonal entry only
+    pole = MahlerSystem(q=3, m=2, A=((RatFunc.one(), RatFunc(Poly([1]), Poly([0, 2, 1]))),
+                                     (RatFunc.zero(), RatFunc(Poly([1, 1])))), name="pole")
+    with pytest.raises(PoleAtOrigin):
+        solve_series(pole, 8)
+
+
+def test_solve_thue_morse_large_order(thue_morse):
+    # f = prod_k (1 - z^{2^k}), so c_n = (-1)^popcount(n)
+    f = solve_series(thue_morse, 20000)
+    assert f[0].coeffs == tuple((-1) ** bin(n).count("1") for n in range(20000))
+
+
+def _oracle_solve(sys_, f0, order):
+    """Reference: the quadratic recursion over the full expansions of A's entries.
+
+    c_i[n] = sum_j sum_{u + q v = n} B_ij[u] c_j[v], with B_ij the series of A_ij.
+    """
+    m, q = sys_.m, sys_.q
+    B = [[series_of_ratfunc(e, order) for e in row] for row in sys_.A]
+    coeffs = [[QQ(0)] * order for _ in range(m)]
+    for i in range(m):
+        coeffs[i][0] = f0[i]
+    for n in range(1, order):
+        for i in range(m):
+            coeffs[i][n] = sum((B[i][j][n - q * v] * coeffs[j][v]
+                                for v in range(n // q + 1) for j in range(m)), QQ(0))
+    return tuple(TruncSeries(c) for c in coeffs)
+
+
+def _random_system(rng, q, m, given_f0):
+    """Rational entries with den(0) not in {0, 1}, and A(0) w = w for a random w.
+
+    w has first nonzero entry 1, so it is also the vector solve_series derives
+    whenever ker(A(0) - I) is one-dimensional.
+    """
+    def small():
+        return QQ(rng.randint(-6, 6), rng.randint(1, 4))
+
+    w = [QQ(0)] * m
+    lead = rng.randrange(m)
+    w[lead] = QQ(1)
+    for j in range(lead + 1, m):
+        w[j] = small()
+    rows = []
+    for i in range(m):
+        nums, dens = [], []
+        for _ in range(m):
+            d0 = QQ(0)
+            while d0 in (0, 1):
+                d0 = small()
+            dens.append(Poly([d0] + [small() for _ in range(rng.randint(0, 1))] + [1]))
+            nums.append([small() for _ in range(rng.randint(1, 2))] + [QQ(rng.randint(1, 5))])
+        # fix num_{i,lead}(0) so that row i of A(0) w equals w_i
+        rest = sum((nums[j][0] / dens[j][0] * w[j] for j in range(m) if j != lead), QQ(0))
+        nums[lead][0] = dens[lead][0] * (w[i] - rest)
+        rows.append(tuple(RatFunc(Poly(n), d) for n, d in zip(nums, dens)))
+    return MahlerSystem(q=q, m=m, A=tuple(rows), f0=tuple(w) if given_f0 else None,
+                        name="random"), tuple(w)
+
+
+def test_solve_matches_quadratic_recursion():
+    rng = random.Random(5)
+    derived = 0
+    for q in (2, 3, 4):
+        for m in (1, 2, 3):
+            for given_f0 in (True, False):
+                for _ in range(3):
+                    sys_, w = _random_system(rng, q, m, given_f0)
+                    if any(e.den[0] in (0, 1) for row in sys_.A for e in row):
+                        continue  # reduction by a common factor moved den(0)
+                    order = rng.randint(20, 45)
+                    f = solve_series(sys_, order)
+                    derived += not given_f0
+                    assert tuple(s[0] for s in f) == w
+                    assert f == _oracle_solve(sys_, w, order)
+                    assert verify_solution(sys_, f) == order
+    assert derived >= 20
 
 
 def test_verify_solution(cantor2):

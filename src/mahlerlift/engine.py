@@ -209,7 +209,8 @@ def build_aux(sys, f, alpha, tau, delta1, delta2, kset, complement_kset=None,
         block = chosen[j * r:(j + 1) * r]
         P.append({pivots[t]: c for t, c in enumerate(block) if c != 0})
     v0 = next((j for j, pj in enumerate(P) if pj), None)
-    assert v0 is not None
+    if v0 is None:
+        raise AssertionError("the chosen kernel element is zero; exact arithmetic bug")
     return AuxFunction(delta1, delta2, p, p_asym, alpha, tau, mb, tuple(pivots),
                        tuple(complement_kset), tuple(P), v0, kset, held)
 
@@ -368,7 +369,8 @@ def decay_report(sys, f, aux, kmax):
         for j in range(aux.v0, aux.delta1 + 1):
             via_series += aux.mb.evaluate(aux.P[j], mat, x) * fpow
             fpow = fpow * F_value
-        assert direct == via_series, "the two evaluation routes must agree exactly"
+        if direct != via_series:
+            raise AssertionError("the two evaluation routes must agree exactly")
         if direct == 0:
             rows.append(DecayRow(k, direct, True, None, weil_height(direct),
                                  None, True))

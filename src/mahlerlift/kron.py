@@ -253,7 +253,7 @@ def kron_system(sys, d, size_budget=DEFAULT_SIZE_BUDGET):
     """The system satisfied by all degree-d products of the solutions.
 
     Matrix A^{(x)d}, initial vector f0^{(x)d}; the determinant is
-    (det A)^{m d}, so regularity at any point is inherited.
+    (det A)^{d m^(d-1)}, so regularity at any point is inherited.
     """
     A = kron_power(sys.A, d, size_budget)
     f0 = kron_vector_power(sys.f0, d, size_budget) if sys.f0 is not None else None
@@ -289,7 +289,8 @@ def lift_algebraic_relation(sys, alpha, P, D, N, override=False,
         if not acc.is_zero():
             coeffs.append((lam, acc))
     out = LiftedHomogeneousPoly(sys.m, d, tuple(sorted(coeffs)), lift.residual_order)
-    assert out.specialize(alpha) == P, "specialization must reproduce the input exactly"
+    if out.specialize(alpha) != P:
+        raise AssertionError("specialization must reproduce the input exactly")
     return out
 
 

@@ -164,14 +164,26 @@ def verify_value_relation(sys, f, rel, N):
 
 
 def relation_residual_order(coefficients, f):
-    """First order at which sum_i L_i(z) f_i(z) fails to vanish (or the order)."""
+    """First order at which sum_i L_i(z) f_i(z) fails to vanish (or the order).
+
+    Coefficient n of the sum is sum_i sum_t L_i[t] f_i[n - t], taken over
+    the nonzero terms of the L_i only, in order of t, so that each n
+    stops at the first term above it; no series product is built.
+    """
     order = min(s.order for s in f)
-    acc = None
-    for Li, fi in zip(coefficients, f):
-        term = fi.truncate(order).mul_poly(Li)
-        acc = term if acc is None else acc + term
-    idx = acc.first_nonzero()
-    return order if idx is None else idx
+    terms = sorted(((t, c, fi.coeffs) for Li, fi in zip(coefficients, f)
+                    for t, c in enumerate(Li.coeffs) if c), key=lambda term: term[0])
+    for n in range(order):
+        acc = ZERO
+        for t, c, fc in terms:
+            if t > n:
+                break
+            x = fc[n - t]
+            if x:
+                acc += c * x
+        if acc:
+            return n
+    return order
 
 
 def lift_linear_relation(sys, alpha, tau, D, N, series=None, basis=None,
@@ -217,6 +229,6 @@ def lift_linear_relation(sys, alpha, tau, D, N, series=None, basis=None,
         lifted.append(acc)
     lifted = tuple(lifted)
     # exact specialization check is part of the contract
-    for i in range(sys.m):
-        assert lifted[i](alpha) == tau[i]
+    if any(lifted[i](alpha) != tau[i] for i in range(sys.m)):
+        raise AssertionError("the lift does not specialize to tau; exact arithmetic bug")
     return LiftResult(lifted, relation_residual_order(lifted, series))

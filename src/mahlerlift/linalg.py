@@ -7,9 +7,12 @@ the ``scalars.QQ`` backend; anything with ``.numerator`` and
 fraction-free (Bareiss) Gauss-Jordan on integers, so no step pays for a
 gcd; only the final division by the last pivot builds rationals.
 
-``det``, ``mat_mul`` and ``mat_vec`` stay generic over the entry type
-(anything with +, -, *, /, == 0), so the same code serves rational
-scalars and the rational-function matrices of a system.
+``det`` and ``mat_mul`` stay generic over the entry type (anything with
++, -, *, / and a truth value that is False for zero); ``det`` serves the
+rational matrices A(x) of an evaluation chain.  A system's determinant
+over Q(z) does not come from ``det``: ``det_fraction_free`` runs Bareiss
+elimination on the system's denominator-cleared polynomial matrix, where
+every division is exact.
 
 ``GramRank`` maintains the rank of a growing family of integer vectors
 through an incremental fraction-free LDL^T factorization of their Gram
@@ -22,7 +25,6 @@ from .scalars import QQ, ZERO, ONE, clear_denominators
 
 __all__ = [
     "mat_mul",
-    "mat_vec",
     "identity_like",
     "rref",
     "rank",
@@ -31,6 +33,7 @@ __all__ = [
     "nullspace_dense",
     "solve_particular",
     "det",
+    "det_fraction_free",
     "GramRank",
 ]
 
@@ -48,16 +51,6 @@ def mat_mul(A, B):
                 acc = acc + Ai[t] * B[t][j]
             row.append(acc)
         out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_vec(A, v):
-    out = []
-    for row in A:
-        acc = row[0] * v[0]
-        for t in range(1, len(v)):
-            acc = acc + row[t] * v[t]
-        out.append(acc)
     return tuple(out)
 
 
@@ -169,7 +162,11 @@ def solve_particular(A, b):
 
 
 def det(A):
-    """Determinant by exact elimination with division; generic over fields."""
+    """Determinant by exact elimination with division; generic over fields.
+
+    Pivots are tested by truth value, not by ``!= 0``: a ``RatFunc`` never
+    compares equal to the integer 0, yet the zero function is falsy.
+    """
     n = len(A)
     work = [list(row) for row in A]
     sign = 1
@@ -177,7 +174,7 @@ def det(A):
     for c in range(n):
         sel = None
         for i in range(c, n):
-            if work[i][c] != 0:
+            if work[i][c]:
                 sel = i
                 break
         if sel is None:
@@ -188,12 +185,47 @@ def det(A):
         piv = work[c][c]
         result = piv if result is None else result * piv
         for i in range(c + 1, n):
-            if work[i][c] != 0:
+            if work[i][c]:
                 f = work[i][c] / piv
                 work[i] = [a - f * b for a, b in zip(work[i], work[c])]
     if sign < 0:
         result = -result
     return result
+
+
+def det_fraction_free(A):
+    """Determinant by fraction-free (Bareiss) elimination over an integral domain.
+
+    The entries need +, -, * and a ``//`` that is exact division, as on
+    integers or on ``Poly`` over Q.  With pivot p and previous pivot prev,
+    every later entry becomes (p * a - f * b) // prev; each is a minor of
+    A (Sylvester's identity), so each division is exact and no entry ever
+    leaves the domain.  The last pivot is then the determinant.
+    """
+    n = len(A)
+    work = [list(row) for row in A]
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        sel = next((i for i in range(k, n) if work[i][k]), None)
+        if sel is None:
+            return work[0][0] - work[0][0]  # a zero of the right type
+        if sel != k:
+            work[k], work[sel] = work[sel], work[k]
+            sign = -sign
+        wk = work[k]
+        p = wk[k]
+        for i in range(k + 1, n):
+            wi = work[i]
+            f = wi[k]
+            if not f and p == prev:
+                continue  # (p * a) // prev = a
+            for j in range(k + 1, n):
+                x = p * wi[j] - f * wk[j] if f else p * wi[j]
+                wi[j] = x if prev is None else x // prev
+        prev = p
+    d = work[n - 1][n - 1]
+    return -d if sign < 0 else d
 
 
 class GramRank:

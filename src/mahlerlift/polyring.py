@@ -131,12 +131,6 @@ class Poly:
     def leading(self):
         return self.coeffs[-1] if self.coeffs else ZERO
 
-    def shift(self, k):
-        """Multiply by z^k."""
-        if not self.coeffs:
-            return self
-        return Poly((ZERO,) * k + self.coeffs)
-
     def substitute_power(self, q):
         """The ring morphism z -> z^q."""
         if q < 2:
@@ -442,17 +436,6 @@ class TruncSeries:
         for _ in range(n):
             result = result * self
         return result
-
-    def substitute_power(self, q):
-        """z -> z^q at fixed order: coefficient q*j takes coefficient j."""
-        if q < 2:
-            raise ValueError("substitution exponent must be >= 2")
-        out = [ZERO] * self.order
-        for j in range(self.order):
-            if q * j >= self.order:
-                break
-            out[q * j] = self.coeffs[j]
-        return TruncSeries(out)
 
     def first_nonzero(self):
         """Index of the first nonzero coefficient, or None if all vanish."""

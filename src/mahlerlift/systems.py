@@ -7,10 +7,13 @@ estimates.  On top of it this module provides
 
 * symbolic iterated products A_k(z) = A(z) A(z^q) ... A(z^{q^{k-1}})
   and their exact evaluation at a rational point,
-* a series solver and an independent residual verifier; the solver
-  recurs on the denominator-cleared rows D_i f_i(z) = sum_j P_ij(z) f_j(z^q)
-  over the nonzero terms of D and P only, so order N costs
-  O(N m (deg D + m deg P / q)) rational operations,
+* a series solver and a residual verifier, both reading the cleared
+  form that every system builds once, at construction: the rows
+  D_i f_i(z) = sum_j P_ij(z) f_j(z^q), with D_i the lcm of row i's
+  denominators, kept as the nonzero terms of D_i and P only, so order N
+  costs O(N m (deg D + m deg P / q)) rational operations in either, and
+  det A = det P / prod_i D_i, with det P from fraction-free elimination
+  over Q[z],
 * a finite certificate that a point alpha is regular (A(alpha^{q^k})
   defined and invertible for *all* k >= 0), and
 * the unit augmentation that adjoins the constant function 1.
@@ -26,7 +29,7 @@ no further iterate can be bad.
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import linalg
 from .errors import (AlphaOutOfRange, AmbiguousInitialVector, DegreeBudgetExceeded,
@@ -36,6 +39,7 @@ from .scalars import QQ, ZERO, ONE, qq_from_str, qq_str
 
 __all__ = [
     "MahlerSystem",
+    "ClearedRow",
     "RegularityCertificate",
     "EvalChain",
     "load_system",
@@ -52,9 +56,53 @@ __all__ = [
 ]
 
 
+class ClearedRow(NamedTuple):
+    """Row i of the cleared system D_i(z) f_i(z) = sum_j P_ij(z) f_j(z^q).
+
+    D_i is the lcm of row i's denominators and P_ij = (D_i / den_ij) num_ij.
+    ``d_terms`` holds the nonzero (t, D_i[t]) with t >= 1, and
+    ``by_residue[r]`` the nonzero (u, j, P_ij[u]) with u = r mod q; both
+    are sorted by exponent, so a recursion can stop at the first one above
+    n.  ``shift`` is v_i = val_z(D / D_i), D the lcm of all D_i.
+    """
+
+    D: Poly
+    shift: int
+    d_terms: tuple
+    by_residue: tuple
+
+
+def _lcm(polys):
+    """Monic lcm of monic polynomials; those of degree 0 equal 1 and are skipped."""
+    out = Poly.one()
+    for p in polys:
+        if p.degree > 0 and p != out:
+            out = p if out.degree == 0 else out.lcm(p)
+    return out
+
+
+def _clear_row(row, q):
+    """D_i, the polynomials P_ij, and the sparse terms of ``ClearedRow`` for one row of A."""
+    Di = _lcm(e.den for e in row)
+    P = tuple(e.num if e.den == Di else (Di // e.den) * e.num  # exact: den | D_i
+              for e in row)
+    by_residue = [[] for _ in range(q)]
+    for j, Pij in enumerate(P):
+        for u, p in enumerate(Pij.coeffs):
+            if p:
+                by_residue[u % q].append((u, j, p))
+    d_terms = tuple((t, d) for t, d in enumerate(Di.coeffs) if t >= 1 and d)
+    return Di, P, d_terms, tuple(tuple(sorted(terms)) for terms in by_residue)
+
+
 @dataclass(frozen=True)
 class MahlerSystem:
-    """Immutable system data; hashable so certificates can be cached."""
+    """Immutable system data; hashable so certificates can be cached.
+
+    Construction also builds the cleared form once: ``cleared_rows``, the
+    denominator lcm D and det A.  They are derived from A and q, so they
+    are not fields, and equality and hashing ignore them.
+    """
 
     q: int
     m: int
@@ -70,19 +118,29 @@ class MahlerSystem:
             raise ValueError("A must be an m x m matrix")
         if self.f0 is not None and len(self.f0) != self.m:
             raise ValueError("f0 must have length m")
-        if linalg.det(self.A).is_zero():
+        rows = [_clear_row(row, self.q) for row in self.A]
+        detP = linalg.det_fraction_free([P for _, P, _, _ in rows])
+        if not detP:
             raise ValueError("det A vanishes identically; the system is not invertible")
+        D = _lcm(Di for Di, _, _, _ in rows)
+        v = D.strip_origin_root()[0]
+        prod = Poly.one()  # det A = det P / prod_i D_i
+        for Di, _, _, _ in rows:
+            if Di.degree > 0:
+                prod = prod * Di
+        object.__setattr__(self, "cleared_rows", tuple(
+            ClearedRow(Di, v - Di.strip_origin_root()[0], d_terms, by_residue)
+            for Di, _, d_terms, by_residue in rows))
+        object.__setattr__(self, "_den_lcm", D)
+        object.__setattr__(self, "_det", RatFunc(detP, prod))
 
     def det(self):
-        return linalg.det(self.A)
+        """det A as a reduced rational function, computed once at construction."""
+        return self._det
 
     def den_lcm(self):
         """Least common multiple of the denominators of the entries of A."""
-        d = Poly.one()
-        for row in self.A:
-            for entry in row:
-                d = d.lcm(entry.den)
-        return d
+        return self._den_lcm
 
     def max_entry_degree(self):
         return max(max(e.num.degree, e.den.degree) for row in self.A for e in row)
@@ -253,32 +311,6 @@ def eval_cocycle(sys, alpha, k, chain=None):
 # ---------------------------------------------------------------------------
 # series solving and verification
 
-def _cleared_rows(sys):
-    """Sparse terms of the cleared rows D_i(z) f_i(z) = sum_j P_ij(z) f_j(z^q).
-
-    D_i is the lcm of row i's denominators and P_ij = (D_i / den_ij) num_ij.
-    Per row: D_i[0], the nonzero (t, D_i[t]) with t >= 1, and for each
-    residue r mod q the nonzero (u, j, P_ij[u]) with u = r mod q; both lists
-    are sorted by exponent so the recursion can stop at the first one above n.
-    """
-    q = sys.q
-    rows = []
-    for row in sys.A:
-        D = Poly.one()
-        for e in row:
-            D = D.lcm(e.den)
-        by_residue = [[] for _ in range(q)]
-        for j, e in enumerate(row):
-            for u, p in enumerate(((D // e.den) * e.num).coeffs):  # exact: den | D
-                if p != 0:
-                    by_residue[u % q].append((u, j, p))
-        for terms in by_residue:
-            terms.sort()
-        d_terms = [(t, d) for t, d in enumerate(D.coeffs) if t >= 1 and d != 0]
-        rows.append((D[0], d_terms, by_residue))
-    return rows
-
-
 def solve_series(sys, order):
     """Solve f(z) = A(z) f(z^q) mod z^order by coefficient recursion.
 
@@ -288,7 +320,7 @@ def solve_series(sys, order):
     its first nonzero entry is 1).
 
     The recursion runs on the cleared rows D_i f_i(z) = sum_j P_ij(z) f_j(z^q)
-    (see ``_cleared_rows``): coefficient n of row i is
+    (see ``ClearedRow``): coefficient n of row i is
 
         D_i[0] c_i[n] = sum_j sum_{u = n mod q, u <= n} P_ij[u] c_j[(n - u) / q]
                         - sum_{1 <= t <= n} D_i[t] c_i[n - t],
@@ -301,7 +333,7 @@ def solve_series(sys, order):
     if order < 1:
         raise ValueError("a truncated series needs at least one coefficient")
     m, q = sys.m, sys.q
-    rows = _cleared_rows(sys)
+    rows = [(row.D[0], row.d_terms, row.by_residue) for row in sys.cleared_rows]
     if any(d0 == 0 for d0, _, _ in rows):
         raise PoleAtOrigin("denominator vanishes at the origin")
     A0 = tuple(tuple(e.num[0] / e.den[0] for e in row) for row in sys.A)
@@ -351,27 +383,43 @@ def solve_series(sys, order):
 def verify_solution(sys, f):
     """Largest N' with D(z) f(z) - (D A)(z) f(z^q) == 0 mod z^{N'}.
 
-    D is the denominator lcm of A, so both sides are polynomial
-    convolutions of the given truncations; works even when A has a pole
-    at the origin and the truncations came from elsewhere.
+    D is the denominator lcm of A and N' is at most the shortest order
+    among the truncations.  Row i of that residual is (D / D_i)(z) times
+    the cleared row residual R_i = D_i f_i(z) - sum_j P_ij(z) f_j(z^q),
+    and D / D_i is z^{v_i} times a unit, so row i vanishes below
+    n + v_i, n the first index with
+    R_i[n] = D_i[0] c_i[n] + sum_t D_i[t] c_i[n - t]
+             - sum_{j, u} P_ij[u] c_j[(n - u) / q] != 0.
+    The sums run over the nonzero terms of the cleared form that the
+    system stores (see ``ClearedRow``), the one ``solve_series`` reads:
+    O(N m (deg D + m deg P / q)) rational operations for N coefficients.
+    Works even when A has a pole at the origin and the truncations came
+    from elsewhere.
     """
     if len(f) != sys.m:
         raise ValueError("solution vector has wrong length")
-    order = min(s.order for s in f)
-    D = sys.den_lcm()
-    first = order
-    for i in range(sys.m):
-        lhs = f[i].truncate(order).mul_poly(D)
-        rhs = TruncSeries.zero(order)
-        for j in range(sys.m):
-            entry = sys.A[i][j]
-            Bij = (D // entry.den) * entry.num  # exact: den | D
-            if Bij.is_zero():
-                continue
-            rhs = rhs + f[j].truncate(order).substitute_power(sys.q).mul_poly(Bij)
-        idx = (lhs - rhs).first_nonzero()
-        if idx is not None:
-            first = min(first, idx)
+    q = sys.q
+    cs = [s.coeffs for s in f]
+    first = min(len(c) for c in cs)
+    for ci, row in zip(cs, sys.cleared_rows):
+        d0, d_terms, by_residue = row.D[0], row.d_terms, row.by_residue
+        for n in range(first - row.shift):
+            acc = ci[n] if d0 == 1 else d0 * ci[n]
+            for t, d in d_terms:
+                if t > n:
+                    break
+                c = ci[n - t]
+                if c:
+                    acc += d * c
+            for u, j, p in by_residue[n % q]:
+                if u > n:
+                    break
+                c = cs[j][(n - u) // q]
+                if c:
+                    acc -= p * c
+            if acc:
+                first = n + row.shift
+                break
     return first
 
 
@@ -389,8 +437,7 @@ def certify_regular(sys, alpha, max_tail_steps=64):
     if not (0 < abs(alpha) < 1):
         raise AlphaOutOfRange("certification needs 0 < |alpha| < 1")
     D = sys.den_lcm()
-    detA = linalg.det(sys.A)
-    phi = D * detA.num
+    phi = D * sys.det().num
     v, phi = phi.strip_origin_root()
     if phi.degree == 0:
         r0 = ONE

@@ -4,8 +4,10 @@ import pytest
 
 from mahlerlift.errors import (InsufficientOrder, MissingCoeffBound, NoLiftAtDegree,
                                RhoAlphaNotContracting, ValueRelationRefuted)
+from mahlerlift import linalg
 from mahlerlift.lifting import (ValueRelation, guess_function_relations,
-                                lift_linear_relation, verify_value_relation)
+                                lift_linear_relation, relation_residual_order,
+                                verify_value_relation)
 from mahlerlift.polyring import Poly, TruncSeries
 from mahlerlift.scalars import QQ
 from mahlerlift.systems import MahlerSystem, solve_series
@@ -110,3 +112,44 @@ def test_lift_zero_partial_sum_never_refuted(cantor3, half):
     f = solve_series(cantor3, 33)
     out = verify_value_relation(cantor3, f, ValueRelation((QQ(0),) * 3, half), 32)
     assert out.status == "verified"
+
+
+def _dense_residual_order(coefficients, f):
+    """Reference: first nonzero coefficient of sum_i L_i f_i over dense truncated products."""
+    order = min(s.order for s in f)
+    acc = TruncSeries.zero(order)
+    for Li, fi in zip(coefficients, f):
+        acc = acc + fi.truncate(order).mul_poly(Li)
+    idx = acc.first_nonzero()
+    return order if idx is None else idx
+
+
+def test_relation_residual_order_matches_dense(cantor3):
+    f = solve_series(cantor3, 64)
+    line = (Poly([1]), Poly([-1]), Poly([0, 1]))
+    assert relation_residual_order(line, f) == _dense_residual_order(line, f) == 64
+    rng = random.Random(17)
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        g = tuple(TruncSeries([QQ(rng.randint(-2, 2)) for _ in range(rng.randint(1, 40))])
+                  for _ in range(m))
+        L = tuple(Poly([QQ(rng.randint(-3, 3), rng.randint(1, 2)) * rng.randint(0, 1)
+                        for _ in range(rng.randint(0, 6))]) for _ in range(m))
+        assert relation_residual_order(L, g) == _dense_residual_order(L, g)
+    # multiples R * line of the relation, each with one corrupted coefficient
+    for _ in range(20):
+        R = Poly([QQ(rng.randint(-3, 3)) for _ in range(rng.randint(1, 9))]) or Poly([1])
+        L = tuple(R * p for p in line)
+        i, n = rng.randrange(3), rng.randrange(64)
+        bad = list(f[i].coeffs)
+        bad[n] += 1
+        g = f[:i] + (TruncSeries(bad),) + f[i + 1:]
+        assert relation_residual_order(L, f) == 64
+        got = relation_residual_order(L, g)
+        assert got == _dense_residual_order(L, g) == min(64, n + L[i].strip_origin_root()[0])
+
+
+def test_lift_contract_raises_on_wrong_solve(cantor3, half, monkeypatch):
+    monkeypatch.setattr(linalg, "solve_particular", lambda A, b: (QQ(0),) * len(A[0]))
+    with pytest.raises(AssertionError, match="specialize"):
+        lift_linear_relation(cantor3, half, (QQ(1), QQ(-1), QQ(1, 2)), 1, 64)

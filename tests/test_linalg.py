@@ -5,7 +5,7 @@ from mahlerlift import linalg
 from mahlerlift.linalg import GramRank
 from mahlerlift.scalars import QQ
 
-from conftest import frac, oracle_rank_nullity
+from conftest import frac, oracle_det, oracle_rank_nullity
 
 
 def naive_rref(rows):
@@ -102,6 +102,19 @@ def test_solve_particular_negative_pivots():
     x = linalg.solve_particular(A, [QQ(1), QQ(-2), QQ(10)])
     assert x == (QQ(-3, 2), QQ(-2))
     assert linalg.solve_particular(A, [QQ(1), QQ(1), QQ(0)]) is None
+
+
+def test_det_fraction_free_matches_laplace():
+    rng = random.Random(1968)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        M = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:  # a planted dependent row
+            M[-1] = [-3 * a for a in M[0]]
+        expect = oracle_det([[Fraction(x) for x in row] for row in M])
+        assert linalg.det_fraction_free(M) == expect
+        assert linalg.det([[QQ(x) for x in row] for row in M]) == expect
 
 
 def _integer_family(rng):

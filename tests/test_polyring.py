@@ -9,9 +9,6 @@ from mahlerlift.scalars import QQ
 
 def test_substitute_power_examples():
     assert Poly([1, 1]).substitute_power(2) == Poly([1, 0, 1])
-    s = TruncSeries([1, 1, 1]).substitute_power(2)
-    assert s == TruncSeries([1, 0, 1])
-    assert s.order == 3
     assert Poly([0, 0, 0, 1]).substitute_power(3) == Poly.monomial(9)
 
 

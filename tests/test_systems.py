@@ -1,9 +1,10 @@
 import json
 import random
+from functools import reduce
 
 import pytest
 
-from mahlerlift import (augment_with_unit, certify_regular, cocycle, eval_cocycle,
+from mahlerlift import (augment_with_unit, certify_regular, cocycle, eval_cocycle, linalg,
                         solve_series, system_from_json, system_to_json,
                         verify_solution)
 from mahlerlift.errors import (AlphaOutOfRange, AmbiguousInitialVector,
@@ -11,6 +12,7 @@ from mahlerlift.errors import (AlphaOutOfRange, AmbiguousInitialVector,
                                NotRegularAt, PoleAtOrigin)
 from mahlerlift.polyring import Poly, RatFunc, TruncSeries, series_of_ratfunc
 from mahlerlift.scalars import QQ
+from mahlerlift.kron import kron_system
 from mahlerlift.systems import EvalChain, MahlerSystem
 
 
@@ -199,6 +201,141 @@ def test_verify_solution(cantor2):
     assert verify_solution(cantor2, (TruncSeries(bad), f[1])) == 3
     zero = (TruncSeries.zero(32), TruncSeries.zero(32))
     assert verify_solution(cantor2, zero) == 32
+
+
+def _lcm_of(polys):
+    return reduce(Poly.lcm, polys, Poly.one())
+
+
+def _oracle_verify(sys_, f):
+    """Reference: the dense residual D f(z) - (D A)(z) f(z^q) mod z^order, D the global lcm.
+
+    Every product is a full convolution of dense truncations, independent of
+    the cleared form that the system stores.
+    """
+    order = min(s.order for s in f)
+    D = _lcm_of(e.den for row in sys_.A for e in row)
+    first = order
+    for i in range(sys_.m):
+        lhs = f[i].truncate(order).mul_poly(D)
+        rhs = TruncSeries.zero(order)
+        for j in range(sys_.m):
+            entry = sys_.A[i][j]
+            Bij = (D // entry.den) * entry.num  # exact: den | D
+            if Bij.is_zero():
+                continue
+            sub = [QQ(0)] * order
+            for v in range((order - 1) // sys_.q + 1):
+                sub[sys_.q * v] = f[j][v]
+            rhs = rhs + TruncSeries(sub).mul_poly(Bij)
+        idx = (lhs - rhs).first_nonzero()
+        if idx is not None:
+            first = min(first, idx)
+    return first
+
+
+def _gauge(sys_, ks):
+    """A'_ij = z^{k_i - q k_j} A_ij, so g_i = z^{k_i} f_i solves g(z) = A'(z) g(z^q).
+
+    With some k_j > 0 the rows of A' get poles at 0 of different orders.
+    """
+    q = sys_.q
+    A = tuple(tuple(RatFunc(e.num * Poly.monomial(max(0, ki - q * kj)),
+                            e.den * Poly.monomial(max(0, q * kj - ki)))
+                    for e, kj in zip(row, ks))
+              for row, ki in zip(sys_.A, ks))
+    return MahlerSystem(q=q, m=sys_.m, A=A, name="gauged")
+
+
+def _random_pole_entry(rng):
+    """A rational function whose denominator vanishes at 0 to order 1 or 2."""
+    num = Poly([QQ(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))])
+    den = Poly([0] * rng.randint(1, 2) + [QQ(rng.randint(-6, 6), rng.randint(1, 4)), 1])
+    return RatFunc(num if num else Poly.one(), den)
+
+
+def test_verify_solution_matches_dense_oracle():
+    rng = random.Random(29)
+    cases = shifted = 0
+    for q in (2, 3, 4):
+        for m in (1, 2, 3):
+            for _ in range(3):
+                base, _ = _random_system(rng, q, m, True)
+                if any(e.den[0] == 0 for row in base.A for e in row):
+                    continue  # reduction by a common factor put a pole at 0
+                f = solve_series(base, rng.randint(16, 32))
+                ks = [rng.randint(0, 2) for _ in range(m)]
+                sys_ = _gauge(base, ks)
+                g = tuple(TruncSeries((QQ(0),) * k + s.coeffs) for s, k in zip(f, ks))
+                # entries with den(0) = 0 drawn directly, on a copy of the system
+                A = [list(row) for row in sys_.A]
+                A[rng.randrange(m)][rng.randrange(m)] = _random_pole_entry(rng)
+                try:
+                    poled = MahlerSystem(q=q, m=m, A=tuple(map(tuple, A)), name="poled")
+                except ValueError:
+                    poled = sys_  # det vanished identically
+                shifted += any(row.shift > 0 for row in sys_.cleared_rows)
+                # unequal truncation orders
+                g_cut = tuple(s.truncate(rng.randint(s.order // 2, s.order)) for s in g)
+                rand = tuple(TruncSeries([QQ(rng.randint(-3, 3)) for _ in range(rng.randint(5, 24))])
+                             for _ in range(m))
+                for target, series in ((sys_, g), (sys_, g_cut), (poled, g), (sys_, rand),
+                                       (poled, rand)):
+                    assert verify_solution(target, series) == _oracle_verify(target, series)
+                    # one coefficient corrupted at a random n
+                    i = rng.randrange(m)
+                    n = rng.randrange(series[i].order)
+                    bad = list(series[i].coeffs)
+                    bad[n] += QQ(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+                    broken = series[:i] + (TruncSeries(bad),) + series[i + 1:]
+                    assert verify_solution(target, broken) == _oracle_verify(target, broken)
+                    cases += 1
+                assert verify_solution(sys_, g) == min(s.order for s in g)
+    assert cases >= 120 and shifted >= 8
+
+
+def _check_cleared_form(sys_):
+    q = sys_.q
+    D = _lcm_of(e.den for row in sys_.A for e in row)
+    assert sys_.den_lcm() == D
+    for i, row in enumerate(sys_.cleared_rows):
+        assert row.D == _lcm_of(e.den for e in sys_.A[i])
+        assert row.shift == (D // row.D).strip_origin_root()[0]
+        assert row.d_terms == tuple((t, c) for t, c in enumerate(row.D.coeffs) if t and c)
+        P = [[QQ(0)] * (1 + max((u for terms in row.by_residue for u, _, _ in terms), default=0))
+             for _ in range(sys_.m)]
+        for r, terms in enumerate(row.by_residue):
+            assert [u for u, _, _ in terms] == sorted(u for u, _, _ in terms)
+            for u, j, p in terms:
+                assert u % q == r and p != 0
+                P[j][u] = p
+        for j in range(sys_.m):
+            assert RatFunc(row.D) * sys_.A[i][j] == RatFunc(Poly(P[j]))
+    assert sys_.det() == linalg.det(sys_.A)
+
+
+def test_cleared_form_and_det_match_generic(cantor2, cantor3, thue_morse):
+    rng = random.Random(31)
+    for q in (2, 3, 4):
+        for m in (1, 2, 3):
+            for _ in range(2):
+                base, _ = _random_system(rng, q, m, True)
+                _check_cleared_form(base)
+                _check_cleared_form(_gauge(base, [rng.randint(0, 2) for _ in range(m)]))
+    for sys_ in (cantor2, cantor3, thue_morse, augment_with_unit(cantor2)):
+        for d in (1, 2):
+            _check_cleared_form(kron_system(sys_, d))
+    base, _ = _random_system(random.Random(3), 2, 2, True)
+    _check_cleared_form(kron_system(base, 2))
+
+
+def test_permutation_system_zero_pivot(half):
+    one, zero = RatFunc.one(), RatFunc.zero()
+    sys_ = MahlerSystem(q=2, m=2, A=((zero, one), (one, zero)), f0=(QQ(1), QQ(1)), name="swap")
+    assert sys_.det() == RatFunc.constant(QQ(-1))
+    assert linalg.det(sys_.A) == RatFunc.constant(QQ(-1))
+    assert certify_regular(sys_, half).regular
+    assert verify_solution(sys_, solve_series(sys_, 8)) == 8
 
 
 def test_solver_postcondition_all_corpus(cantor2, cantor3, thue_morse):

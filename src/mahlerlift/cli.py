@@ -11,8 +11,9 @@ Conventions
   (refuted relation, no lift at the degree cap, not regular, failed
   stabilization); 2 usage or input errors.
 * Reruns with identical inputs produce byte-identical output.
-* ``MAHLER_BUDGET_MB`` caps the address space as a guard against big
-  integer blowups; hitting it exits with code 2.
+* ``MAHLER_BUDGET_MB`` caps the address space (the soft limit, for the
+  duration of ``main``) as a guard against big integer blowups; hitting
+  it exits with code 2, and so does a value that is not a size in MB.
 """
 
 import argparse
@@ -28,7 +29,7 @@ from .polyring import TruncSeries
 from .scalars import QQ, qq_from_str, qq_str
 from .systems import EvalChain, corpus_path, load_system
 
-GUARD = lifting.DEFAULT_GUARD
+GUARD = lifting.GUARD
 
 
 def _emit(doc, args, human):
@@ -484,15 +485,25 @@ def _attach_signed_values(argv):
 
 def main(argv=None):
     budget = os.environ.get("MAHLER_BUDGET_MB")
-    if budget:
-        try:
-            import resource
+    if not budget:
+        return _dispatch(argv)
+    import resource
 
-            limit = int(budget) * (1 << 20)
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-        except (ValueError, OSError):
-            print("bad MAHLER_BUDGET_MB value", file=sys.stderr)
-            return 2
+    # only the soft limit, and only while main runs: the caller can always
+    # raise it again, and an in-process caller gets its own limit back
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    try:
+        resource.setrlimit(resource.RLIMIT_AS, (int(budget) * (1 << 20), hard))
+    except (ValueError, OSError):
+        print("bad MAHLER_BUDGET_MB value", file=sys.stderr)
+        return 2
+    try:
+        return _dispatch(argv)
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def _dispatch(argv):
     ap = _build_parser()
     try:
         args = ap.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))

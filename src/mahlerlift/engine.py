@@ -36,7 +36,7 @@ from typing import Optional
 
 from . import linalg
 from .errors import (EmptyKernel, PreconditionTauNotARelation, StabilizationFailed)
-from .ideal import MonomialBasis, cell_rref
+from .ideal import MonomialBasis
 from .lifting import ValueRelation, verify_value_relation
 from .polyring import Poly, TruncSeries
 from .scalars import (QQ, ZERO, ONE, LogValue, liouville_check, log_abs, qq_str,
@@ -163,7 +163,10 @@ def build_aux(sys, f, alpha, tau, delta1, delta2, kset, complement_kset=None,
     chain = EvalChain(sys, alpha)
     if complement_kset is None:
         complement_kset = tuple(range(1, max(6, delta2 + 2) + 1))
-    mb, pivots, _ = cell_rref(sys, alpha, delta1, delta2, complement_kset, chain=chain)
+    # the pivots of cell_rref, without its reduced rows
+    mb = MonomialBasis(sys.m, delta1, delta2)
+    pivots = tuple(linalg.pivot_columns([mb.integer_row(chain.mat(k), chain.x(k))
+                                         for k in sorted(complement_kset)]))
     r = len(pivots)
     p = max(1, (delta1 * delta2) // 4)
     p_asym = (delta1 * delta2) // (2 ** (sys.m * sys.m + 2))

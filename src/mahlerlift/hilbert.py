@@ -10,10 +10,16 @@ module rank once D passes the generator degrees, and
 
     phi(d) = M - (stable increment).
 
+K(D') comes from one elimination of ``lifting.convolution_rows`` at
+degree D + 1, whose columns are degree-major: the system of degree D' is
+its first M(D' + 1) columns, so K(D') = M(D' + 1) minus the number of
+pivot columns below M(D' + 1), for D' = D - 1, D, D + 1 at once.
+
 Stability is demanded twice before a value is reported: the increment
 must agree across two consecutive coefficient degrees, and the kernel
-dimensions must be unchanged when the truncation order is lowered by a
-guard margin; otherwise the computation refuses to answer.
+dimensions must be unchanged when the truncation order is lowered by
+``lifting.GUARD``, which takes a second elimination on the first rows of
+the same system; otherwise the computation refuses to answer.
 
 The growth exponent of phi is the transcendence degree; it is read off
 by exact integer finite differences, with no tolerance anywhere.
@@ -24,8 +30,9 @@ from itertools import product as iproduct
 
 from . import linalg
 from .errors import InsufficientOrder, RankNotStabilized
-from .scalars import QQ, ZERO, ONE
-from .lifting import DEFAULT_GUARD
+from .kron import monomial_series
+from .lifting import GUARD, convolution_rows
+from .scalars import QQ, ZERO
 
 __all__ = [
     "PhiProfile",
@@ -49,44 +56,10 @@ def _exponent_vectors(m, d):
 def monomial_family(f, d, order):
     """Truncated series of every monomial of total degree <= d in the family."""
     exps = _exponent_vectors(len(f), d)
-    cache = {}
-    series = []
-    for e in exps:
-        if e not in cache:
-            acc = None
-            for i, ei in enumerate(e):
-                for _ in range(ei):
-                    fi = f[i].truncate(order)
-                    acc = fi if acc is None else acc * fi
-            if acc is None:  # the constant monomial
-                from .polyring import Poly, TruncSeries
-
-                acc = TruncSeries.from_poly(Poly.one(), order)
-            cache[e] = acc
-        series.append(cache[e])
-    return exps, series
+    return exps, monomial_series(f, exps, order)
 
 
-def _relation_kernel_dim(series, D, N):
-    """Q-dimension of {p : deg p_i <= D, sum p_i g_i == 0 mod z^N}, exact."""
-    if D < 0:
-        return 0
-    M = len(series)
-    unknowns = M * (D + 1)
-    if N < unknowns + DEFAULT_GUARD:
-        raise InsufficientOrder(
-            f"order {N} < {unknowns + DEFAULT_GUARD} needed for degree {D}")
-    rows = []
-    for n in range(N):
-        row = []
-        for g in series:
-            for t in range(D + 1):
-                row.append(g[n - t] if n - t >= 0 else ZERO)
-        rows.append(row)
-    return unknowns - linalg.rank(rows)
-
-
-def phi_function(f, d, D, N, order_guard=DEFAULT_GUARD):
+def phi_function(f, d, D, N):
     """phi(d): Q(z)-dimension of the degree-<=d monomial span of the family.
 
     Requires the relation-module increment to stabilize at coefficient
@@ -98,9 +71,15 @@ def phi_function(f, d, D, N, order_guard=DEFAULT_GUARD):
         raise InsufficientOrder("series shorter than the requested order")
     _, series = monomial_family(f, d, N)
     M = len(series)
+    cuts = [M * max(dd + 1, 0) for dd in (D - 1, D, D + 1)]  # unknowns per degree
+    for dd, cut in zip((D - 1, D, D + 1), cuts):
+        if cut and N < cut + GUARD:
+            raise InsufficientOrder(f"order {N} < {cut + GUARD} needed for degree {dd}")
+    rows = convolution_rows(series, D + 1, N)
 
     def increments(order):
-        ks = [_relation_kernel_dim(series, dd, order) for dd in (D - 1, D, D + 1)]
+        pivots = linalg.pivot_columns(rows[:order])
+        ks = [cut - sum(p < cut for p in pivots) for cut in cuts]
         return ks[1] - ks[0], ks[2] - ks[1]
 
     r_lo, r_hi = increments(N)
@@ -108,7 +87,7 @@ def phi_function(f, d, D, N, order_guard=DEFAULT_GUARD):
         raise RankNotStabilized(
             f"relation-module increments differ at degree {D}: {r_lo} vs {r_hi}")
     # order stability: drop to the smallest admissible order, never below it
-    n_low = max(M * (D + 2) + order_guard, N - order_guard)
+    n_low = max(M * (D + 2) + GUARD, N - GUARD)
     if n_low < N:
         if increments(n_low) != (r_lo, r_hi):
             raise RankNotStabilized("relation kernel moved when the order was lowered")

@@ -18,7 +18,7 @@ spread weight over duplicates stay valid.
 from dataclasses import dataclass
 
 from .errors import NonHomogeneousPolynomial, SizeBudgetExceeded
-from .polyring import Poly
+from .polyring import Poly, TruncSeries
 from .scalars import QQ, ZERO, ONE, qq_str
 from .systems import MahlerSystem, solve_series
 from .lifting import lift_linear_relation
@@ -27,6 +27,7 @@ __all__ = [
     "kron",
     "kron_power",
     "kron_vector_power",
+    "monomial_series",
     "MonomialIndexMap",
     "HomogeneousPoly",
     "LiftedHomogeneousPoly",
@@ -70,6 +71,27 @@ def kron_vector_power(v, d, size_budget=DEFAULT_SIZE_BUDGET):
     for _ in range(d - 1):
         result = tuple(a * b for a in result for b in v)
     return result
+
+
+def monomial_series(f, exponents, order):
+    """Truncated series of each monomial prod_i f_i^e_i, one per exponent vector.
+
+    Each monomial is the product of a smaller one and a single f_i, so a
+    monomial of degree k costs one series product once its divisors are
+    built, whichever of them the caller asked for.
+    """
+    cache = {}
+
+    def build(e):
+        if e not in cache:
+            i = max(j for j, ej in enumerate(e) if ej)
+            rest = e[:i] + (e[i] - 1,) + e[i + 1:]
+            fi = f[i].truncate(order)
+            cache[e] = build(rest) * fi if any(rest) else fi
+        return cache[e]
+
+    one = TruncSeries.from_poly(Poly.one(), order)
+    return tuple(build(tuple(e)) if any(e) else one for e in exponents)
 
 
 class MonomialIndexMap:
@@ -116,22 +138,11 @@ class MonomialIndexMap:
         return tuple(tau)
 
     def coordinate_series(self, f, order):
-        """Series of every Kronecker coordinate as products of the base series."""
-        out = []
-        cache = {}
-        for i in range(self.m ** self.d):
-            digits = []
-            x = i
-            for _ in range(self.d):
-                digits.append(x % self.m)
-                x //= self.m
-            key = tuple(sorted(digits))
-            if key not in cache:
-                acc = f[key[0]].truncate(order)
-                for u in key[1:]:
-                    acc = acc * f[u].truncate(order)
-                cache[key] = acc
-            out.append(cache[key])
+        """Series of every Kronecker coordinate: the monomial of its class."""
+        out = [None] * self.m ** self.d
+        for cls, series in zip(self.classes, monomial_series(f, self.lambdas, order)):
+            for i in cls:
+                out[i] = series
         return tuple(out)
 
 
@@ -205,20 +216,6 @@ class LiftedHomogeneousPoly:
     def specialize(self, alpha):
         return HomogeneousPoly(self.m, {lam: p(alpha) for lam, p in self.coeffs
                                         if p(alpha) != 0})
-
-    def series_combination(self, f, order):
-        """sum over terms of coeff_lambda(z) * prod_i f_i^{lambda_i}, truncated."""
-        acc = None
-        for lam, p in self.coeffs:
-            mono = None
-            for i, e in enumerate(lam):
-                for _ in range(e):
-                    mono = f[i].truncate(order) if mono is None else mono * f[i].truncate(order)
-            term = (mono.mul_poly(p) if mono is not None
-                    else None)
-            if term is not None:
-                acc = term if acc is None else acc + term
-        return acc
 
     def to_json(self):
         return {"degree": self.degree,

@@ -1,10 +1,16 @@
 """Guessing and lifting of linear relations among system solutions.
 
+``convolution_rows`` builds the linear system behind every relation
+space here and in ``hilbert``: row n holds the coefficient of z^n in
+sum_g p_g(z) g(z), column (t, g) the unknown coefficient of z^t in p_g.
+Columns are degree-major, t = 0..D and g within each t, so the system for
+any degree D' <= D is its first M(D' + 1) columns, M the family size.
+
 ``guess_function_relations`` finds all vectors of polynomials p with
 deg p_i <= D and sum_i p_i(z) f_i(z) == 0 mod z^N, as the exact nullspace
-of a convolution system; such a vector is a certified relation *modulo
-truncation* only, so N is required to exceed the unknown count by a
-guard margin and the tests re-check bases at doubled orders.
+of that system; such a vector is a certified relation *modulo
+truncation* only, so N is required to exceed the unknown count by
+``GUARD`` and the tests re-check bases at doubled orders.
 
 ``verify_value_relation`` decides a claimed relation sum_i tau_i f_i(alpha) = 0
 rigorously from an exact partial sum plus a geometric tail bound derived
@@ -33,13 +39,14 @@ __all__ = [
     "ValueRelation",
     "VerifyOutcome",
     "LiftResult",
+    "convolution_rows",
     "guess_function_relations",
     "verify_value_relation",
     "lift_linear_relation",
     "relation_residual_order",
 ]
 
-DEFAULT_GUARD = 16
+GUARD = 16  # orders beyond the unknown count that a relation must also meet
 
 
 @dataclass(frozen=True)
@@ -98,31 +105,37 @@ class LiftResult:
                 "residual_order": self.residual_order}
 
 
-def guess_function_relations(f, D, N, guard=DEFAULT_GUARD):
+def convolution_rows(series, D, N):
+    """Rows n < N of sum_g p_g g == 0 mod z^N, columns (t, g) degree-major.
+
+    Entry (n, t * M + g) is g[n - t]: the first M(D' + 1) columns are the
+    system of degree D', and the first n rows that of order n.
+    """
+    return [[g[n - t] if n >= t else ZERO for t in range(D + 1) for g in series]
+            for n in range(N)]
+
+
+def guess_function_relations(f, D, N):
     """Exact basis of {p : deg p_i <= D, sum p_i f_i == 0 mod z^N}.
 
-    Unknowns are ordered coefficient-within-component, component-major,
-    so the reduced-echelon basis is canonical; raising N can only shrink
-    the space.
+    The kernel of ``convolution_rows`` is permuted to component-major
+    unknowns, coefficient t of p_i at i * (D + 1) + t, before its reduced
+    echelon form is taken, so the basis is canonical; raising N can only
+    shrink the space.
     """
     m = len(f)
     if m == 0:
         raise ValueError("empty function family")
     unknowns = m * (D + 1)
-    if N < unknowns + guard:
+    if N < unknowns + GUARD:
         raise InsufficientOrder(
-            f"need order >= {unknowns + guard} = unknowns + guard, got {N}")
+            f"need order >= {unknowns + GUARD} = unknowns + guard, got {N}")
     if any(s.order < N for s in f):
         raise InsufficientOrder("series order below requested relation order")
-    rows = []
-    for n in range(N):
-        row = []
-        for i in range(m):
-            fi = f[i]
-            for t in range(D + 1):
-                row.append(fi[n - t] if 0 <= n - t else ZERO)
-        rows.append(row)
-    _, dense = linalg.nullspace_dense(rows, unknowns)
+    _, kernel = linalg.nullspace_sparse(convolution_rows(f, D, N), unknowns)
+    # degree-major column t * m + i holds coefficient t of p_i
+    dense = [[vec.get(t * m + i, ZERO) for i in range(m) for t in range(D + 1)]
+             for vec in kernel]
     _, reduced = linalg.rref(dense)  # canonical form with leading ones
     basis = []
     for vec in reduced:
@@ -187,7 +200,7 @@ def relation_residual_order(coefficients, f):
 
 
 def lift_linear_relation(sys, alpha, tau, D, N, series=None, basis=None,
-                         override=False, guard=DEFAULT_GUARD):
+                         override=False):
     """Lift a value relation at alpha to a polynomial-coefficient relation.
 
     Solves sum_j c_j B_j(alpha) = tau exactly over the guessed relation
@@ -209,7 +222,7 @@ def lift_linear_relation(sys, alpha, tau, D, N, series=None, basis=None,
         if outcome.status == "inconclusive":
             raise ValueRelationUnverified("increase N or pass override=True")
     if basis is None:
-        basis = guess_function_relations(series, D, N, guard=guard)
+        basis = guess_function_relations(series, D, N)
     if all(t == 0 for t in tau):
         zero = tuple(Poly() for _ in range(sys.m))
         return LiftResult(zero, min(s.order for s in series))

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals; no floating point ever decides a rank.
 
-``rref``, ``rank``, ``nullspace_sparse``, ``nullspace_dense`` and
-``solve_particular`` take rational entries only (ints, ``Fraction`` or
-the ``scalars.QQ`` backend; anything with ``.numerator`` and
-``.denominator``).  ``rref`` clears each row of denominators and runs
-fraction-free (Bareiss) Gauss-Jordan on integers, so no step pays for a
-gcd; only the final division by the last pivot builds rationals.
+``rref``, ``pivot_columns``, ``nullspace_sparse``, ``nullspace_dense``
+and ``solve_particular`` take rational entries only (ints, ``Fraction``
+or the ``scalars.QQ`` backend; anything with ``.numerator`` and
+``.denominator``).  Both ``rref`` and ``pivot_columns`` clear each row of
+denominators and run fraction-free (Bareiss) Gauss-Jordan on integers,
+so no step pays for a gcd; only ``rref``'s final division by the last
+pivot builds rationals, and ``pivot_columns`` skips it.
 
 ``det`` and ``mat_mul`` stay generic over the entry type (anything with
 +, -, *, / and a truth value that is False for zero); ``det`` serves the
@@ -27,7 +28,7 @@ __all__ = [
     "mat_mul",
     "identity_like",
     "rref",
-    "rank",
+    "pivot_columns",
     "kernel_from_rref",
     "nullspace_sparse",
     "nullspace_dense",
@@ -58,23 +59,18 @@ def identity_like(n, one, zero):
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (pivot column list, reduced rows).
+def _gauss_jordan(rows):
+    """Fraction-free Gauss-Jordan: (pivot columns, nonzero rows, last pivot).
 
-    Zero rows are dropped; the reduced rows are a canonical basis of the
-    row space, so two row sets span the same space iff their rref output
-    is equal.
-
-    Each row is cleared of denominators, then fraction-free Gauss-Jordan
-    runs on integers: with pivot p and previous pivot prev, every other
-    row becomes (p * row - f * pivot_row) // prev.  Every entry stays an
+    Each row is cleared of denominators, then elimination runs on
+    integers: with pivot p and previous pivot prev, every other row
+    becomes (p * row - f * pivot_row) // prev.  Every entry stays an
     integer minor of the cleared matrix, so each division is exact, and
-    afterwards every pivot entry equals the last pivot; dividing by it
-    gives the rational RREF.
+    afterwards every pivot entry equals the last pivot.
     """
     work = [clear_denominators(r) for r in rows]
     if not work:
-        return [], []
+        return [], [], 1
     ncols = len(work[0])
     pivots = []
     prev = 1
@@ -104,11 +100,28 @@ def rref(rows):
         r += 1
         if r == len(work):
             break
-    return pivots, [tuple(QQ(x, prev) if x else ZERO for x in row) for row in work[:r]]
+    return pivots, work[:r], prev
 
 
-def rank(rows):
-    return len(rref(rows)[0])
+def pivot_columns(rows):
+    """Pivot columns of the reduced row echelon form, without building it.
+
+    Columns are searched in order, so the pivots below c are those of the
+    first c columns alone: their count is the rank of that column prefix.
+    """
+    return _gauss_jordan(rows)[0]
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (pivot column list, reduced rows).
+
+    Zero rows are dropped; the reduced rows are a canonical basis of the
+    row space, so two row sets span the same space iff their rref output
+    is equal.  The rows of the fraction-free elimination are divided by
+    the last pivot, the only step that builds rationals.
+    """
+    pivots, work, prev = _gauss_jordan(rows)
+    return pivots, [tuple(QQ(x, prev) if x else ZERO for x in row) for row in work]
 
 
 def kernel_from_rref(pivots, red, ncols):
@@ -257,7 +270,7 @@ class GramRank:
     def rank(self):
         return len(self.labels)
 
-    def _forward(self, label):
+    def add(self, label):
         pair = self.pair
         a = [pair(label, lj) for lj in self.labels]
         ann = pair(label, label)
@@ -268,17 +281,9 @@ class GramRank:
             for c in range(k + 1, n):
                 a[c] = (dk * a[c] - ak * rows[c][k]) // dprev
             ann = (dk * ann - ak * ak) // dprev
-        return a, ann
-
-    def add(self, label):
-        a, ann = self._forward(label)
         if ann == 0:
             return False
         self.labels.append(label)
         self._rows.append(a)
         self._d.append(ann)
         return True
-
-    def in_span(self, label):
-        """True iff the labeled vector lies in the span of accepted ones."""
-        return self._forward(label)[1] == 0

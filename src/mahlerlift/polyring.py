@@ -32,7 +32,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim([QQ(c) for c in coeffs])
+        self.coeffs = _trim([c if type(c) is QQ else QQ(c) for c in coeffs])
 
     @classmethod
     def zero(cls):
@@ -141,24 +141,6 @@ class Poly:
         for i, c in enumerate(self.coeffs):
             out[i * q] = c
         return Poly(out)
-
-    def recenter(self, xi):
-        """Coefficients of p in powers of (z - xi); length deg p + 1.
-
-        Repeated synthetic division by (z - xi): each pass peels off the
-        next Taylor coefficient, with no binomials materialized.
-        """
-        xi = QQ(xi)
-        cur = list(self.coeffs) if self.coeffs else [ZERO]
-        out = []
-        while cur:
-            b = [ZERO] * len(cur)
-            b[-1] = cur[-1]
-            for i in reversed(range(len(cur) - 1)):
-                b[i] = cur[i] + xi * b[i + 1]
-            out.append(b[0])
-            cur = b[1:]
-        return tuple(out)
 
     def divmod(self, other):
         if other.is_zero():
@@ -352,7 +334,7 @@ class TruncSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(QQ(c) for c in coeffs)
+        coeffs = tuple(c if type(c) is QQ else QQ(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a truncated series needs at least one coefficient")
         self.coeffs = coeffs
@@ -416,26 +398,6 @@ class TruncSeries:
     def scale(self, c):
         c = QQ(c)
         return TruncSeries([a * c for a in self.coeffs])
-
-    def mul_poly(self, p):
-        """Exact product with a polynomial, truncated to this order."""
-        out = [ZERO] * self.order
-        for i, a in enumerate(p.coeffs):
-            if a == 0 or i >= self.order:
-                continue
-            for j in range(self.order - i):
-                b = self.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncSeries(out)
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a series")
-        result = TruncSeries.from_poly(Poly.one(), self.order)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def first_nonzero(self):
         """Index of the first nonzero coefficient, or None if all vanish."""

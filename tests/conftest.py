@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from mahlerlift import corpus_path, load_system
-from mahlerlift.polyring import Poly, RatFunc
+from mahlerlift.polyring import Poly, RatFunc, TruncSeries
 from mahlerlift.scalars import QQ
 from mahlerlift.systems import MahlerSystem
 
@@ -90,3 +90,12 @@ def oracle_det(mat):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def series_times_poly(s, p):
+    """Schoolbook product of a truncated series and a polynomial, at the series' order."""
+    out = [QQ(0)] * s.order
+    for i, a in enumerate(p.coeffs):
+        for j in range(s.order - i):
+            out[i + j] += a * s[j]
+    return TruncSeries(out)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import mahlerlift
 from mahlerlift import cli
 
 
@@ -54,3 +58,29 @@ def test_hilbert_profile_is_computed_serially(capsys):
     assert doc["trdeg"]["t_hat"] == 1
     code, out = _run(capsys, ["hilbert", "--system", "cantor2.json", "--jobs", "2"])
     assert code == 2 and out == ""
+
+
+_BUDGET_CHILD = """
+import json, os, resource
+from mahlerlift import cli
+before = resource.getrlimit(resource.RLIMIT_AS)
+os.environ["MAHLER_BUDGET_MB"] = "4096"
+ok = cli.main(["regular", "--system", "cantor2.json", "--alpha", "1/2"])
+after_ok = resource.getrlimit(resource.RLIMIT_AS)
+os.environ["MAHLER_BUDGET_MB"] = "lots"
+bad = cli.main(["regular", "--system", "cantor2.json", "--alpha", "1/2"])
+after_bad = resource.getrlimit(resource.RLIMIT_AS)
+print(json.dumps([before, ok, after_ok, bad, after_bad]))
+"""
+
+
+def test_memory_budget_is_scoped_to_main():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mahlerlift.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("MAHLER_BUDGET_MB", None)
+    proc = subprocess.run([sys.executable, "-c", _BUDGET_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, ok, after_ok, bad, after_bad = json.loads(proc.stdout.splitlines()[-1])
+    assert (ok, bad) == (0, 2)
+    assert after_ok == before and after_bad == before

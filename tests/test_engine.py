@@ -5,7 +5,7 @@ import pytest
 from mahlerlift.engine import (AuxFunction, build_aux, decay_report,
                                formal_identity_order, height_growth)
 from mahlerlift.errors import PreconditionTauNotARelation
-from mahlerlift.ideal import MonomialBasis
+from mahlerlift.ideal import MonomialBasis, cell_rref
 from mahlerlift.scalars import QQ
 from mahlerlift.systems import solve_series
 
@@ -32,6 +32,12 @@ def test_build_aux_instance(cantor3_aux):
     pivots = set(aux.pivot_monomials)
     for pj in aux.P:
         assert set(pj) <= pivots
+
+
+def test_build_aux_pivots_are_cell_rref_pivots(cantor3, cantor3_aux, half):
+    _, aux = cantor3_aux
+    _, pivots, _ = cell_rref(cantor3, half, 1, 8, range(1, 11))  # the default complement
+    assert aux.pivot_monomials == pivots
 
 
 def test_build_aux_heldout_vanishes_exactly(cantor3, cantor3_aux, half):

@@ -137,7 +137,7 @@ def test_dim_profile_matches_explicit_rank(cantor2, half):
     prof = dim_profile(cantor2, half, 1, [1, 2, 3])
     for row in prof.rows:
         _, rows = eval_matrix(cantor2, half, 1, row.delta2, range(1, row.k_top + 1))
-        assert linalg.rank(rows) == row.rank
+        assert len(linalg.pivot_columns(rows)) == row.rank
         rank, _ = oracle_rank_nullity(rows)
         assert rank == row.rank
 

@@ -6,11 +6,11 @@ from mahlerlift import linalg
 from mahlerlift.errors import NonHomogeneousPolynomial, SizeBudgetExceeded
 from mahlerlift.kron import (HomogeneousPoly, MonomialIndexMap, kron, kron_power,
                              kron_system, lift_algebraic_relation, parse_homogeneous)
-from mahlerlift.polyring import Poly, RatFunc
+from mahlerlift.polyring import Poly, RatFunc, TruncSeries
 from mahlerlift.scalars import QQ
 from mahlerlift.systems import certify_regular, solve_series
 
-from conftest import oracle_det
+from conftest import oracle_det, series_times_poly
 
 
 def _eye(n):
@@ -153,7 +153,13 @@ def test_lift_algebraic_square(cantor3, half):
     assert out.specialize(half) == P
     assert out.residual_order >= 48
     f = solve_series(cantor3, 49)
-    comb = out.series_combination(f, 49)
+    comb = TruncSeries.zero(49)
+    for lam, p in out.coeffs:  # sum_lambda p_lambda(z) prod_i f_i^lambda_i
+        mono = TruncSeries.from_poly(Poly.one(), 49)
+        for fi, e in zip(f, lam):
+            for _ in range(e):
+                mono = mono * fi
+        comb = comb + series_times_poly(mono, p)
     assert comb.first_nonzero() is None
 
 

@@ -12,6 +12,8 @@ from mahlerlift.polyring import Poly, TruncSeries
 from mahlerlift.scalars import QQ
 from mahlerlift.systems import MahlerSystem, solve_series
 
+from conftest import series_times_poly
+
 
 def test_guess_cantor3_line(cantor3):
     f = solve_series(cantor3, 64)
@@ -44,6 +46,33 @@ def test_guess_basis_invariant_under_order_increase(cantor3):
     b64 = guess_function_relations(f, 1, 64)
     b96 = guess_function_relations(f, 1, 96)
     assert b64.basis == b96.basis
+
+
+def _oracle_guess_basis(f, D, N):
+    """Reference: the component-major convolution matrix, unknown i * (D + 1) + t."""
+    m = len(f)
+    rows = [[fi[n - t] if n >= t else QQ(0) for fi in f for t in range(D + 1)]
+            for n in range(N)]
+    _, dense = linalg.nullspace_dense(rows, m * (D + 1))
+    _, reduced = linalg.rref(dense)
+    return tuple(tuple(Poly(vec[i * (D + 1):(i + 1) * (D + 1)]) for i in range(m))
+                 for vec in reduced)
+
+
+def test_guess_matches_component_major_oracle(cantor2, cantor3):
+    rng = random.Random(9001)
+    base = solve_series(cantor2, 64) + solve_series(cantor3, 64)
+    for _ in range(40):
+        m = rng.randint(1, 4)
+        f = [rng.choice(base) for _ in range(m)]  # repeats are likely
+        if rng.random() < 0.5:  # a planted relation with polynomial coefficients
+            i, j = rng.randrange(m), rng.randrange(m)
+            p = Poly([QQ(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))])
+            f[i] = f[i] + series_times_poly(f[j], p)
+        D = rng.randint(0, 3)
+        N = m * (D + 1) + 16 + rng.randint(0, 8)
+        got = guess_function_relations(tuple(f), D, N)
+        assert got.basis == _oracle_guess_basis(f, D, N)
 
 
 def test_verify_examples(cantor3, half):
@@ -119,7 +148,7 @@ def _dense_residual_order(coefficients, f):
     order = min(s.order for s in f)
     acc = TruncSeries.zero(order)
     for Li, fi in zip(coefficients, f):
-        acc = acc + fi.truncate(order).mul_poly(Li)
+        acc = acc + series_times_poly(fi.truncate(order), Li)
     idx = acc.first_nonzero()
     return order if idx is None else idx
 

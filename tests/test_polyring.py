@@ -6,6 +6,8 @@ from mahlerlift.errors import PoleAtOrigin
 from mahlerlift.polyring import Poly, RatFunc, TruncSeries, series_of_ratfunc
 from mahlerlift.scalars import QQ
 
+from conftest import series_times_poly
+
 
 def test_substitute_power_examples():
     assert Poly([1, 1]).substitute_power(2) == Poly([1, 0, 1])
@@ -28,31 +30,8 @@ def test_series_division_postcondition():
         r = RatFunc(num, den)
         N = 24
         s = series_of_ratfunc(r, N)
-        lhs = s.mul_poly(r.den)
+        lhs = series_times_poly(s, r.den)
         assert all(lhs[i] == r.num[i] for i in range(N))
-
-
-def test_recenter_examples():
-    assert Poly([0, 0, 1]).recenter(QQ(1)) == (QQ(1), QQ(2), QQ(1))
-    assert Poly([5]).recenter(QQ(7, 3)) == (QQ(5),)
-    got = Poly([0, -1, 0, 1]).recenter(QQ(1, 2))
-    assert got == (QQ(-3, 8), QQ(-1, 4), QQ(3, 2), QQ(1))
-
-
-def test_recenter_roundtrip():
-    rng = random.Random(2)
-    for _ in range(25):
-        p = Poly([QQ(rng.randint(-9, 9), rng.randint(1, 9))
-                  for _ in range(rng.randint(1, 7))])
-        xi = QQ(rng.randint(-5, 5), rng.randint(1, 5))
-        out = p.recenter(xi)
-        assert len(out) == max(p.degree, 0) + 1
-        # re-expand about 0: sum out[k] (z - xi)^k must equal p identically
-        shifted = Poly([-xi, 1])
-        acc = Poly()
-        for k, c in enumerate(out):
-            acc = acc + (shifted ** k).scale(c)
-        assert acc == p
 
 
 def _rand_poly(rng, deg=5):
@@ -97,6 +76,16 @@ def test_ratfunc_field_ops():
         if not b.is_zero():
             assert (a / b) * b == a
         assert a - a == RatFunc.zero()
+
+
+def test_constructors_convert_non_rationals():
+    for make in (Poly, TruncSeries):
+        got = make([1, "3/4", True, False, QQ(-2, 6)]).coeffs
+        assert got[:4] == (QQ(1), QQ(3, 4), QQ(1), QQ(0))
+        assert all(type(c) is QQ for c in got)
+    assert Poly([QQ(0), 2, "0"]).coeffs == (QQ(0), QQ(2))
+    kept = QQ(5, 7)
+    assert TruncSeries([kept]).coeffs[0] is kept
 
 
 def test_series_truncation_rules():

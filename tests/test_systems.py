@@ -15,6 +15,8 @@ from mahlerlift.scalars import QQ
 from mahlerlift.kron import kron_system
 from mahlerlift.systems import EvalChain, MahlerSystem
 
+from conftest import series_times_poly
+
 
 def test_cocycle_examples(cantor2, thue_morse):
     mats = cocycle(cantor2, 2)
@@ -217,7 +219,7 @@ def _oracle_verify(sys_, f):
     D = _lcm_of(e.den for row in sys_.A for e in row)
     first = order
     for i in range(sys_.m):
-        lhs = f[i].truncate(order).mul_poly(D)
+        lhs = series_times_poly(f[i].truncate(order), D)
         rhs = TruncSeries.zero(order)
         for j in range(sys_.m):
             entry = sys_.A[i][j]
@@ -227,7 +229,7 @@ def _oracle_verify(sys_, f):
             sub = [QQ(0)] * order
             for v in range((order - 1) // sys_.q + 1):
                 sub[sys_.q * v] = f[j][v]
-            rhs = rhs + TruncSeries(sub).mul_poly(Bij)
+            rhs = rhs + series_times_poly(TruncSeries(sub), Bij)
         idx = (lhs - rhs).first_nonzero()
         if idx is not None:
             first = min(first, idx)

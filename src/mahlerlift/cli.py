@@ -17,6 +17,7 @@ Conventions
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,8 +29,6 @@ from .errors import (MahlerError, NoLiftAtDegree, NotRegularAt,
 from .polyring import TruncSeries
 from .scalars import QQ, qq_from_str, qq_str
 from .systems import EvalChain, corpus_path, load_system
-
-GUARD = lifting.GUARD
 
 
 def _emit(doc, args, human):
@@ -214,7 +213,7 @@ def cmd_lift(args):
     tau = _tau(args.tau, sys_.m)
 
     def attempt(d):
-        order = max(args.order, sys_.m * (d + 1) + GUARD)
+        order = max(args.order, sys_.m * (d + 1) + lifting.GUARD)
         return lifting.lift_linear_relation(sys_, alpha, tau, d, order,
                                             override=args.override)
 
@@ -252,7 +251,7 @@ def cmd_kron_lift(args):
     P = parse_homogeneous(args.poly, sys_.m)
 
     def attempt(d):
-        order = max(args.order, sys_.m ** P.degree * (d + 1) + GUARD)
+        order = max(args.order, sys_.m ** P.degree * (d + 1) + lifting.GUARD)
         return lift_algebraic_relation(sys_, alpha, P, d, order,
                                             override=args.override,
                                             size_budget=args.size_budget)
@@ -318,8 +317,8 @@ def cmd_prove(args):
     sys_ = _load(args.system)
     alpha = qq_from_str(args.alpha)
     tau = _tau(args.tau, sys_.m)
-    order = max(args.order, args.delta2 + GUARD,
-                max(1, args.delta1 * args.delta2 // 4) + GUARD)
+    order = max(args.order, args.delta2 + lifting.GUARD,
+                max(1, args.delta1 * args.delta2 // 4) + lifting.GUARD)
     f = systems.solve_series(sys_, order)
     aux = engine.build_aux(sys_, f, alpha, tau, args.delta1, args.delta2,
                            _kset(args.kset))
@@ -352,7 +351,9 @@ def cmd_prove(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built on the first request and reused by later ones."""
     ap = argparse.ArgumentParser(
         prog="mahlerlift",
         description="Exact computations for linear q-Mahler systems in one variable.")

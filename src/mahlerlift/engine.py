@@ -42,6 +42,7 @@ from .polyring import Poly, TruncSeries
 from .scalars import (QQ, ZERO, ONE, LogValue, liouville_check, log_abs, qq_str,
                       weil_height)
 from .systems import EvalChain, require_regular
+from .util import sparse_mul
 
 __all__ = [
     "AuxFunction",
@@ -70,10 +71,6 @@ class AuxFunction:
     v0: int
     kset_constraints: tuple
     kset_heldout: tuple
-
-    @property
-    def nonzero_P_indices(self):
-        return tuple(j for j, pj in enumerate(self.P) if pj)
 
     def to_json(self):
         from .ideal import vector_str
@@ -112,11 +109,16 @@ def _tau_row_series(sys, mat, tau, f, order):
 
 
 def _constraint_row(sys, chain, mb, pivots, tau, f, p, delta1, k):
-    """Exact coefficients of E_p(A_k, x_k) = 0 over the unknown layout.
+    """Coefficients of E_p(A_k, x_k) = 0 over the unknown layout, times a constant.
 
     Unknowns are (j, pivot monomial) in j-major order; the coefficient of
     coordinate (j, (nu, lam)) is A_k^nu * sum_{s < p - lam} (g^j)_s x^{lam+s}
-    with g(z) = F(A_k, z).
+    with g(z) = F(A_k, z).  A_k^nu is read as the integer y-part of
+    ``MonomialBasis.integer_values``, for the pivot monomials only, so the
+    row comes out times prod_ij D_k[ij]^delta1, a nonzero constant per
+    iterate.  That moves neither the kernel (the rref of the constraint
+    rows is unchanged) nor the held-out test (a zero stays zero), hence
+    neither P nor v0.
     """
     mat, x = chain.mat(k), chain.x(k)
     g = _tau_row_series(sys, mat, tau, f, p)
@@ -137,14 +139,13 @@ def _constraint_row(sys, chain, mb, pivots, tau, f, p, delta1, k):
                     acc += c * xpow[lam + s]
             per_lam.append(acc)
         wsum.append(per_lam)
-    uvals = mb.monomial_values(mat)
-    u_by_nu = {nu: uvals[i] for i, nu in enumerate(mb.nus)}
+    monomials = [mb.entries[idx] for idx in pivots]
+    u, _ = mb.integer_values(mat, x, [nu for nu, _ in monomials])
     row = []
     for j in range(delta1 + 1):
-        for idx in pivots:
-            nu, lam = mb.entries[idx]
+        for val, (_, lam) in zip(u, monomials):
             w = wsum[j][lam]
-            row.append(u_by_nu[nu] * w if w != 0 else ZERO)
+            row.append(val * w if w != 0 else ZERO)
     return row
 
 
@@ -221,16 +222,6 @@ def build_aux(sys, f, alpha, tau, delta1, delta2, kset, complement_kset=None,
 # ---------------------------------------------------------------------------
 # the formal identity EE * F^{v0} = E in Q[Y][[z]]
 
-def _ymul(a, b):
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            s = out.get(key)
-            out[key] = va * vb if s is None else s + va * vb
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def _yseries_mul(a, b, order):
     out = [dict() for _ in range(order)]
     for i, ai in enumerate(a):
@@ -241,7 +232,7 @@ def _yseries_mul(a, b, order):
                 break
             if not bj:
                 continue
-            prod = _ymul(ai, bj)
+            prod = sparse_mul(ai, bj)
             tgt = out[i + j]
             for k, v in prod.items():
                 s = tgt.get(k)

@@ -27,6 +27,12 @@ by a nonzero constant moves neither its span nor any rank, and it turns
 every entry into an integer and every geometric sum into a homogeneous
 integer one, H(a, b, n) = sum_e a^e b^{n-e}, so ``GramRank`` and ``rref``
 run fraction-free.
+
+``MonomialBasis.integer_values`` is the one evaluator of the box at a
+point: the dense integer rows, the rational rows of ``eval_matrix``, the
+exact value of a sparse vector (``evaluate``, behind ``is_member`` and
+``shift_check``) and the constraint rows of ``engine.build_aux`` all read
+it, each dividing by the scale only where a rational value is wanted.
 """
 
 from dataclasses import dataclass
@@ -36,7 +42,7 @@ from typing import Optional
 from . import linalg
 from .errors import StabilizationFailed
 from .linalg import GramRank
-from .scalars import QQ, ZERO, ONE, clear_denominators, qq_str
+from .scalars import QQ, ZERO, clear_denominators, qq_str
 from .systems import EvalChain, require_regular
 
 __all__ = [
@@ -76,6 +82,11 @@ class MonomialBasis:
     The order is graded lexicographic on the flattened exponent matrix
     nu (total degree first, then tuple order), with lam as the secondary
     key; tests pin this order, and kernel vectors are indexed by it.
+
+    The box is evaluated in one way, on integers, by ``integer_values``:
+    per-entry power tables once per point, then the y-part of only the
+    y-monomials a caller asks for.  ``integer_row`` takes every one of
+    them, ``evaluate`` only those in a vector's support.
     """
 
     def __init__(self, m, delta1, delta2):
@@ -94,82 +105,61 @@ class MonomialBasis:
     def index(self, nu, lam):
         return self._index[(tuple(nu), lam)]
 
-    def monomial_values(self, mat):
-        """Values mat^nu for every nu, via per-entry power tables."""
-        m, d1 = self.m, self.delta1
-        pw = []
-        for i in range(m):
-            for j in range(m):
-                row = [ONE]
-                for _ in range(d1):
-                    row.append(row[-1] * mat[i][j])
-                pw.append(row)
-        out = []
-        for nu in self.nus:
-            acc = ONE
-            for pos, e in enumerate(nu):
-                if e:
-                    acc = acc * pw[pos][e]
-            out.append(acc)
-        return out
+    def integer_values(self, mat, x, nus=None):
+        """The box at the point (mat, x), cleared of denominators: (u, w).
 
-    def row_of_values(self, mat, x):
-        """One evaluation row: mat^nu * x^lam in basis order."""
-        scale = x.denominator ** self.delta2
-        for row in mat:
-            for v in row:
-                scale *= v.denominator ** self.delta1
-        return [QQ(v, scale) for v in self.integer_row(mat, x)]
-
-    def integer_row(self, mat, x):
-        """The evaluation row at (mat, x) times a nonzero constant, in integers.
-
-        With mat[i][j] = N_ij / D_ij and x = P / Q in lowest terms, entry
-        (nu, lam) is prod_ij N_ij^nu_ij D_ij^{delta1 - nu_ij} * P^lam Q^{delta2 - lam},
-        i.e. the row times prod_ij D_ij^delta1 * Q^delta2; the scaling leaves
-        row spaces, hence every rref, unchanged.
+        With mat[i][j] = N_ij / D_ij and x = P / Q in lowest terms, u lists
+        prod_ij N_ij^nu_ij D_ij^{delta1 - nu_ij} for each nu of ``nus`` (every
+        y-monomial by default) and w[lam] = P^lam Q^{delta2 - lam}, so
+        mat^nu x^lam = u * w[lam] / scale with scale = prod_ij D_ij^delta1 *
+        Q^delta2, the u * w[0] of the constant monomial.  The per-entry power
+        tables are built once per call, and a y-part is computed only for the
+        monomials asked for.
         """
-        d1, d2 = self.delta1, self.delta2
+        d1 = self.delta1
         tables = [_homogeneous_powers(v.numerator, v.denominator, d1)
                   for row in mat for v in row]
-        zpw = _homogeneous_powers(x.numerator, x.denominator, d2)
-        out = []
-        for nu in self.nus:
-            u = 1
+        w = _homogeneous_powers(x.numerator, x.denominator, self.delta2)
+        u = []
+        for nu in self.nus if nus is None else nus:
+            val = 1
             for tbl, e in zip(tables, nu):
                 t = tbl[e]
                 if t != 1:
-                    u *= t
-            out.extend([u * z for z in zpw])
+                    val *= t
+            u.append(val)
+        return u, w
+
+    def integer_row(self, mat, x):
+        """The evaluation row at (mat, x) times its scale, in integers.
+
+        Entry (nu, lam) is u(nu) * w[lam] of ``integer_values``; scaling a
+        row by a nonzero constant leaves row spaces, hence every rref,
+        unchanged.  Column 0 is the constant monomial, whose entry is the
+        scale itself.
+        """
+        u, w = self.integer_values(mat, x)
+        out = []
+        for val in u:
+            out.extend([val * z for z in w])
         return out
 
     def evaluate(self, coeffs, mat, x):
-        """Exact value of a coefficient vector (sparse dict) at (mat, x)."""
-        uvals = {}
-        xpow = [ONE]
-        for _ in range(self.delta2):
-            xpow.append(xpow[-1] * x)
+        """Exact value of a coefficient vector (sparse dict) at (mat, x).
+
+        A dot product of the coefficients with the integer values over the
+        support, each y-part computed once, divided by the scale (the value
+        of the constant monomial, ``nus[0]``).
+        """
+        entries, one = self.entries, self.nus[0]
+        nus = list(dict.fromkeys([one] + [entries[idx][0] for idx in coeffs]))
+        u, w = self.integer_values(mat, x, nus)
+        u_of = dict(zip(nus, u))
         acc = ZERO
-        pw = None
         for idx, c in coeffs.items():
-            nu, lam = self.entries[idx]
-            if nu not in uvals:
-                if pw is None:
-                    m = self.m
-                    pw = []
-                    for i in range(m):
-                        for j in range(m):
-                            row = [ONE]
-                            for _ in range(self.delta1):
-                                row.append(row[-1] * mat[i][j])
-                            pw.append(row)
-                v = ONE
-                for pos, e in enumerate(nu):
-                    if e:
-                        v = v * pw[pos][e]
-                uvals[nu] = v
-            acc += c * uvals[nu] * xpow[lam]
-        return acc
+            nu, lam = entries[idx]
+            acc += c * (u_of[nu] * w[lam])
+        return acc / (u_of[one] * w[0])
 
 
 def eval_matrix(sys, alpha, delta1, delta2, kset, chain=None):
@@ -177,7 +167,11 @@ def eval_matrix(sys, alpha, delta1, delta2, kset, chain=None):
     require_regular(sys, alpha)
     chain = chain or EvalChain(sys, alpha)
     mb = MonomialBasis(sys.m, delta1, delta2)
-    rows = [mb.row_of_values(chain.mat(k), chain.x(k)) for k in sorted(kset)]
+    rows = []
+    for k in sorted(kset):
+        row = mb.integer_row(chain.mat(k), chain.x(k))
+        scale = row[0]  # the constant monomial's entry
+        rows.append([QQ(v, scale) for v in row])
     return mb, rows
 
 

@@ -22,6 +22,7 @@ from .polyring import Poly, TruncSeries
 from .scalars import QQ, ZERO, ONE, qq_str
 from .systems import MahlerSystem, solve_series
 from .lifting import lift_linear_relation
+from .util import sparse_mul
 
 __all__ = [
     "kron",
@@ -175,14 +176,6 @@ class HomogeneousPoly:
     def __eq__(self, other):
         return (isinstance(other, HomogeneousPoly) and self.m == other.m
                 and self.terms == other.terms)
-
-    def __mul__(self, other):
-        out = {}
-        for la, ca in self.terms.items():
-            for lb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(la, lb))
-                out[key] = out.get(key, ZERO) + ca * cb
-        return HomogeneousPoly(self.m, out)
 
     def evaluate(self, values):
         acc = ZERO
@@ -374,7 +367,7 @@ class _Parser:
         acc = self.factor()
         while self.peek().kind == "*":
             self.eat("*")
-            acc = _mul(acc, self.factor())
+            acc = sparse_mul(acc, self.factor())
         return acc
 
     def factor(self):
@@ -419,19 +412,10 @@ def _scale(a, c):
     return {k: v * c for k, v in a.items()}
 
 
-def _mul(a, b):
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            out[key] = out.get(key, ZERO) + va * vb
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def _powm(a, n):
     acc = {(0,) * len(next(iter(a))): ONE} if a else {}
     for _ in range(n):
-        acc = _mul(acc, a)
+        acc = sparse_mul(acc, a)
     return acc
 
 

@@ -107,9 +107,6 @@ class LogValue:
         n = float(n)
         return LogValue(self.value * n, self.abs_error * abs(n) + 1e-16 * abs(self.value * n))
 
-    def close_to(self, x, rel=1e-9):
-        return abs(self.value - x) <= rel * max(1.0, abs(x)) + self.abs_error
-
     def to_json(self):
         return {"log": float(f"{self.value:.15g}"),
                 "certified_rel_error": float(f"{self.certified_rel_error:.3g}")}

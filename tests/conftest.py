@@ -5,6 +5,7 @@ The oracles deliberately avoid the library's own linear algebra and use
 were produced by a second, independent code path.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from mahlerlift import corpus_path, load_system
 from mahlerlift.polyring import Poly, RatFunc, TruncSeries
 from mahlerlift.scalars import QQ
-from mahlerlift.systems import MahlerSystem
+from mahlerlift.systems import MahlerSystem, certify_regular
 
 
 @pytest.fixture(scope="session")
@@ -49,16 +50,34 @@ def shrinking16():
                         name="shrinking16")
 
 
+@pytest.fixture(scope="session")
+def random_system():
+    """A seeded m = 2, q = 3 system whose entries have negative, non-integer
+    coefficients and non-constant denominators, with a point where it is regular."""
+    rng = random.Random(2210)
+
+    def rat():
+        return QQ(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 7))
+
+    A = tuple(tuple(RatFunc(Poly([rat(), rat()]), Poly([1, rat()])) for _ in range(2))
+              for _ in range(2))
+    sys_ = MahlerSystem(q=3, m=2, A=A, name="random")
+    alpha = QQ(-2, 7)
+    assert certify_regular(sys_, alpha).regular
+    return sys_, alpha
+
+
 def frac(x):
     return Fraction(int(x.numerator), int(x.denominator))
 
 
-def oracle_rank_nullity(rows):
-    """Naive Fraction-based Gaussian elimination, independent of the library."""
+def _oracle_rref(rows):
+    """Naive Fraction Gauss-Jordan: (pivot columns, reduced nonzero rows, column count)."""
     work = [[frac(x) for x in row] for row in rows]
     ncols = len(work[0]) if work else 0
-    rank = 0
+    pivots = []
     for c in range(ncols):
+        rank = len(pivots)
         piv = None
         for r in range(rank, len(work)):
             if work[r][c] != 0:
@@ -73,8 +92,53 @@ def oracle_rank_nullity(rows):
             if r != rank and work[r][c] != 0:
                 f = work[r][c]
                 work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-    return rank, ncols - rank
+        pivots.append(c)
+    return pivots, work[:len(pivots)], ncols
+
+
+def oracle_rank_nullity(rows):
+    """Naive Fraction-based Gaussian elimination, independent of the library."""
+    pivots, _, ncols = _oracle_rref(rows)
+    return len(pivots), ncols - len(pivots)
+
+
+def oracle_kernel(rows, ncols):
+    """Reduced-echelon kernel basis as dense Fraction vectors, one per free column.
+
+    The vector of free column f has a 1 at f and minus the reduced entry of
+    column f at each pivot column.
+    """
+    pivots, red, _ = _oracle_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -red[r][f]
+        basis.append(vec)
+    return basis
+
+
+def oracle_box_value(mat, x, nu, lam):
+    """mat^nu x^lam by Fraction products, one factor at a time.
+
+    nu is the exponent matrix flattened row by row, as in the library's
+    monomial basis.
+    """
+    v = Fraction(1)
+    for a, e in zip((frac(a) for row in mat for a in row), nu):
+        for _ in range(e):
+            v *= a
+    for _ in range(lam):
+        v *= frac(x)
+    return v
+
+
+def oracle_box_row(entries, mat, x):
+    """The evaluation row at (mat, x) over the (nu, lam) columns of ``entries``."""
+    return [oracle_box_value(mat, x, nu, lam) for nu, lam in entries]
 
 
 def oracle_det(mat):

@@ -84,3 +84,41 @@ def test_memory_budget_is_scoped_to_main():
     before, ok, after_ok, bad, after_bad = json.loads(proc.stdout.splitlines()[-1])
     assert (ok, bad) == (0, 2)
     assert after_ok == before and after_bad == before
+
+
+_SEQUENCE_CHILD = """
+import contextlib, io, json, sys
+from mahlerlift import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    so, se = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(so), contextlib.redirect_stderr(se):
+        code = cli.main(argv)
+    out.append([code, so.getvalue(), se.getvalue()])
+print(json.dumps([out, cli._build_parser.cache_info().misses]))
+"""
+
+
+def _child_runs(argvs):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mahlerlift.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("MAHLER_BUDGET_MB", None)
+    proc = subprocess.run([sys.executable, "-c", _SEQUENCE_CHILD, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_parser_built_once_per_process_keeps_outputs():
+    """A usage error, a valid request and another subcommand in one process
+    print and exit as they do in separate processes."""
+    argvs = [["regular", "--system", "cantor2.json", "--alpha"],
+             ["regular", "--system", "cantor2.json", "--alpha", "1/2", "--json"],
+             ["solve", "--system", "cantor2.json", "--order", "8", "--json"],
+             ["regular", "--system", "cantor2.json", "--alpha", "-5/11"]]
+    together, builds = _child_runs(argvs)
+    assert builds == 1
+    alone = [_child_runs([argv])[0][0] for argv in argvs]
+    assert together == alone
+    assert [code for code, _, _ in together] == [2, 0, 0, 0]
+    assert "usage:" in together[0][2] and together[1][1] and together[2][1]

@@ -1,13 +1,17 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from mahlerlift.engine import (AuxFunction, build_aux, decay_report,
+from mahlerlift import linalg
+from mahlerlift.engine import (AuxFunction, _constraint_row, build_aux, decay_report,
                                formal_identity_order, height_growth)
 from mahlerlift.errors import PreconditionTauNotARelation
 from mahlerlift.ideal import MonomialBasis, cell_rref
 from mahlerlift.scalars import QQ
-from mahlerlift.systems import solve_series
+from mahlerlift.systems import EvalChain, solve_series
+
+from conftest import frac, oracle_box_value, oracle_kernel
 
 LOG2 = math.log(2)
 TAU = (QQ(1), QQ(-1), QQ(1, 2))
@@ -41,9 +45,6 @@ def test_build_aux_pivots_are_cell_rref_pivots(cantor3, cantor3_aux, half):
 
 
 def test_build_aux_heldout_vanishes_exactly(cantor3, cantor3_aux, half):
-    from mahlerlift.engine import _constraint_row
-    from mahlerlift.systems import EvalChain
-
     f, aux = cantor3_aux
     chain = EvalChain(cantor3, half)
     flat = []
@@ -57,6 +58,56 @@ def test_build_aux_heldout_vanishes_exactly(cantor3, cantor3_aux, half):
         for c, v in zip(flat, row):
             acc += c * v
         assert acc == 0
+
+
+def _oracle_constraint_rows(sys_, f, aux):
+    """The constraint rows of E_p over aux.kset_constraints, from Fraction products only."""
+    chain = EvalChain(sys_, aux.alpha)
+    m, p = sys_.m, aux.p
+    rows = []
+    for k in aux.kset_constraints:
+        mat, x = chain.mat(k), frac(chain.x(k))
+        w = [sum(frac(aux.tau[i]) * frac(mat[i][j]) for i in range(m)) for j in range(m)]
+        g = [sum(w[j] * frac(f[j][s]) for j in range(m)) for s in range(p)]
+        gpow = [[Fraction(1)] + [Fraction(0)] * (p - 1)]
+        for _ in range(aux.delta1):
+            prev = gpow[-1]
+            gpow.append([sum(prev[a] * g[s - a] for a in range(s + 1)) for s in range(p)])
+        row = []
+        for j in range(aux.delta1 + 1):
+            for idx in aux.pivot_monomials:
+                nu, lam = aux.mb.entries[idx]
+                wsum = sum((gpow[j][s] * x ** (lam + s) for s in range(p - lam)), Fraction(0))
+                row.append(oracle_box_value(mat, x, nu, 0) * wsum)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name, tau, delta1, delta2, kset", [
+    ("cantor3", TAU, 1, 8, range(2, 7)),
+    ("cantor2", (QQ(1), QQ(-2)), 2, 4, range(2, 5)),
+    ("thue_morse", (QQ(1), QQ(1, 3)), 1, 5, range(1, 4)),
+])
+def test_build_aux_kernel_matches_oracle(name, tau, delta1, delta2, kset, request, half):
+    """The constraint kernel of build_aux, and the P it picks, are those of the
+    oracle's rows; the library's rows differ from them by a constant per iterate."""
+    sys_ = request.getfixturevalue(name)
+    f = solve_series(sys_, 40)
+    aux = build_aux(sys_, f, half, tau, delta1, delta2, kset)
+    r = len(aux.pivot_monomials)
+    kernel = oracle_kernel(_oracle_constraint_rows(sys_, f, aux), (delta1 + 1) * r)
+    assert kernel
+    chain = EvalChain(sys_, half)
+    rows = [_constraint_row(sys_, chain, aux.mb, aux.pivot_monomials, aux.tau, f, aux.p,
+                            delta1, k) for k in aux.kset_constraints]
+    _, lib_kernel = linalg.nullspace_dense(rows, (delta1 + 1) * r)
+    assert [[frac(c) for c in vec] for vec in lib_kernel] == kernel
+    chosen = [sum(col) for col in zip(*kernel)]
+    if not any(chosen):
+        chosen = kernel[0]
+    flat = [frac(aux.P[j].get(idx, 0)) for j in range(delta1 + 1)
+            for idx in aux.pivot_monomials]
+    assert flat == chosen
 
 
 def test_build_aux_dimension_precondition(cantor3, half):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from mahlerlift.ideal import (MonomialBasis, _GramPair, cell_rref, dim_profile, 
 from mahlerlift.scalars import QQ
 from mahlerlift.systems import EvalChain
 
-from conftest import oracle_rank_nullity
+from conftest import frac, oracle_box_row, oracle_rank_nullity
 
 
 def test_monomial_order_is_graded_lex():
@@ -36,9 +37,18 @@ def test_eval_matrix_cantor_offdiagonal(cantor2, half):
     assert rows[0][idx] == QQ(3, 4)
 
 
+def _scale(mat, x, delta1, delta2):
+    """prod_ij D_ij^delta1 * Q^delta2 for mat[i][j] = N_ij / D_ij and x = P / Q."""
+    out = x.denominator ** delta2
+    for row in mat:
+        for v in row:
+            out *= v.denominator ** delta1
+    return out
+
+
 def test_integer_rows_and_gram_pairs(cantor2, cantor3):
-    """Integer rows are constant multiples of the evaluation rows, and the
-    closed-form Gram pairs are their exact inner products."""
+    """Integer rows are the oracle's evaluation rows times the row scale, and
+    the closed-form Gram pairs are their exact inner products."""
     for sys_, alpha, boxes in ((cantor2, QQ(-5, 7), ((1, 0), (1, 2), (2, 1))),
                                (cantor3, QQ(3, 4), ((1, 1),))):
         chain = EvalChain(sys_, alpha)
@@ -46,14 +56,53 @@ def test_integer_rows_and_gram_pairs(cantor2, cantor3):
             mb = MonomialBasis(sys_.m, delta1, delta2)
             rows = {k: mb.integer_row(chain.mat(k), chain.x(k)) for k in range(1, 5)}
             for k, row in rows.items():
-                ref = mb.row_of_values(chain.mat(k), chain.x(k))
-                scale = QQ(row[0]) / ref[0]
-                assert all(v.denominator == 1 for v in row)
-                assert [v * scale for v in ref] == row
+                mat, x = chain.mat(k), chain.x(k)
+                scale = _scale(mat, x, delta1, delta2)
+                assert all(type(v) is int for v in row)
+                assert row == [v * scale for v in oracle_box_row(mb.entries, mat, x)]
             pair = _GramPair(chain, delta1).pair_fn(delta2)
             for k in rows:
                 for l in rows:
                     assert pair(k, l) == sum(a * b for a, b in zip(rows[k], rows[l]))
+
+
+BOXES = ((0, 0), (0, 2), (1, 0), (1, 1), (2, 1))
+
+
+@pytest.mark.parametrize("name", ["cantor2", "cantor3", "thue_morse", "random"])
+def test_box_evaluators_match_oracle(name, request, half):
+    """integer_row, integer_values on random y-monomial subsets, evaluate and
+    eval_matrix all agree with the Fraction products of the oracle."""
+    if name == "random":
+        sys_, alpha = request.getfixturevalue("random_system")
+    else:
+        sys_, alpha = request.getfixturevalue(name), half
+    rng = random.Random(8080)
+    chain = EvalChain(sys_, alpha)
+    ks = range(0, 4)
+    boxes = BOXES if sys_.m < 3 else BOXES[:4]  # (2, 1) on a 3 x 3 box is 3^9 * 2 columns
+    for delta1, delta2 in boxes:
+        mb = MonomialBasis(sys_.m, delta1, delta2)
+        oracle = {k: oracle_box_row(mb.entries, chain.mat(k), chain.x(k)) for k in ks}
+        _, rows = eval_matrix(sys_, alpha, delta1, delta2, ks, chain=chain)
+        assert [[frac(v) for v in row] for row in rows] == [oracle[k] for k in ks]
+        for k in ks:
+            mat, x = chain.mat(k), chain.x(k)
+            scale = _scale(mat, x, delta1, delta2)
+            assert mb.integer_row(mat, x) == [v * scale for v in oracle[k]]
+            for _ in range(3):
+                nus = rng.choices(mb.nus, k=rng.randint(1, 6))
+                u, w = mb.integer_values(mat, x, nus)
+                assert len(u) == len(nus) and len(w) == delta2 + 1
+                for nu, val in zip(nus, u):
+                    for lam in range(delta2 + 1):
+                        assert (Fraction(val * w[lam], scale)
+                                == oracle[k][mb.index(nu, lam)])
+                support = rng.sample(range(len(mb)), min(len(mb), rng.randint(1, 5)))
+                vec = {i: QQ(rng.randint(-9, 9), rng.randint(1, 5)) for i in support}
+                expect = sum(frac(c) * oracle[k][i] for i, c in vec.items())
+                assert frac(mb.evaluate(vec, mat, x)) == expect
+            assert mb.evaluate({}, mat, x) == 0
 
 
 def test_kernel_trivial_box(trivial, half):

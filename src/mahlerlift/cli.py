@@ -28,7 +28,7 @@ from .errors import (MahlerError, NoLiftAtDegree, NotRegularAt,
                      StabilizationFailed, ValueRelationRefuted)
 from .polyring import TruncSeries
 from .scalars import QQ, qq_from_str, qq_str
-from .systems import EvalChain, corpus_path, load_system
+from .systems import corpus_path, load_system
 
 
 def _emit(doc, args, human):
@@ -139,9 +139,7 @@ def cmd_dims(args):
     sys_ = _load(args.system)
     alpha = qq_from_str(args.alpha)
     d2s = list(range(args.delta2_min, args.delta2_max + 1))
-    chain = EvalChain(sys_, alpha)
-    prof = ideal.dim_profile(sys_, alpha, args.delta1, d2s, max_k=args.max_k,
-                             chain=chain)
+    prof = ideal.dim_profile(sys_, alpha, args.delta1, d2s, max_k=args.max_k)
     doc = {"system": sys_.name, "alpha": qq_str(alpha), "profile": prof.to_json()}
 
     def human(d):

@@ -55,6 +55,9 @@ __all__ = [
     "formal_identity_order",
 ]
 
+HELDOUT_COUNT = 4   # larger iterates the chosen kernel element must also vanish at
+GROWTH_BUDGET = 16  # iterates the constraint set may grow by past its largest one
+
 
 @dataclass(frozen=True)
 class AuxFunction:
@@ -149,25 +152,24 @@ def _constraint_row(sys, chain, mb, pivots, tau, f, p, delta1, k):
     return row
 
 
-def build_aux(sys, f, alpha, tau, delta1, delta2, kset, complement_kset=None,
-              heldout_count=4, growth_budget=16):
+def build_aux(sys, f, alpha, tau, delta1, delta2, kset):
     """Construct a nontrivial auxiliary function for a value relation.
 
     The returned P_j live on the pivot-monomial complement of the
-    (delta1, delta2) evaluation kernel; the constraint set starts at the
-    given kset and grows until the chosen kernel element also vanishes
-    exactly at heldout_count larger iterates, all recorded.
+    (delta1, delta2) evaluation kernel, read off the iterates
+    1..max(6, delta2 + 2); the constraint set starts at the given kset and
+    grows until the chosen kernel element also vanishes exactly at
+    HELDOUT_COUNT larger iterates, all recorded.
     """
     alpha = QQ(alpha)
     require_regular(sys, alpha)
     tau = tuple(QQ(t) for t in tau)
     chain = EvalChain(sys, alpha)
-    if complement_kset is None:
-        complement_kset = tuple(range(1, max(6, delta2 + 2) + 1))
+    complement_kset = tuple(range(1, max(6, delta2 + 2) + 1))
     # the pivots of cell_rref, without its reduced rows
     mb = MonomialBasis(sys.m, delta1, delta2)
     pivots = tuple(linalg.pivot_columns([mb.integer_row(chain.mat(k), chain.x(k))
-                                         for k in sorted(complement_kset)]))
+                                         for k in complement_kset]))
     r = len(pivots)
     p = max(1, (delta1 * delta2) // 4)
     p_asym = (delta1 * delta2) // (2 ** (sys.m * sys.m + 2))
@@ -176,7 +178,7 @@ def build_aux(sys, f, alpha, tau, delta1, delta2, kset, complement_kset=None,
         raise ValueError(
             f"|kset| = {len(kset)} must stay below (delta1+1) * dim complement = "
             f"{(delta1 + 1) * r} so the kernel is nontrivial by dimension count")
-    hard_top = max(kset) + growth_budget
+    hard_top = max(kset) + GROWTH_BUDGET
     while True:
         rows = [_constraint_row(sys, chain, mb, pivots, tau, f, p, delta1, k)
                 for k in kset]
@@ -191,7 +193,7 @@ def build_aux(sys, f, alpha, tau, delta1, delta2, kset, complement_kset=None,
         if all(c == 0 for c in chosen):  # cancellation in the sum: fall back
             chosen = list(kernel[0])
         top = max(kset)
-        held = tuple(range(top + 1, top + 1 + heldout_count))
+        held = tuple(range(top + 1, top + 1 + HELDOUT_COUNT))
         ok = True
         for k in held:
             row = _constraint_row(sys, chain, mb, pivots, tau, f, p, delta1, k)
@@ -216,7 +218,7 @@ def build_aux(sys, f, alpha, tau, delta1, delta2, kset, complement_kset=None,
     if v0 is None:
         raise AssertionError("the chosen kernel element is zero; exact arithmetic bug")
     return AuxFunction(delta1, delta2, p, p_asym, alpha, tau, mb, tuple(pivots),
-                       tuple(complement_kset), tuple(P), v0, kset, held)
+                       complement_kset, tuple(P), v0, kset, held)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,11 @@ __all__ = [
     "vector_str",
 ]
 
+K_MIN = 1          # first iterate of every iterate set
+MAX_K = 24         # largest iterate a stabilization may use, unless the caller says
+HELDOUT_COUNT = 4  # larger iterates a stabilized kernel must also vanish at
+QUIET_WINDOW = 3   # consecutive iterates adding no rank that settle a rank
+
 
 def _homogeneous_powers(a, b, n):
     """[a^e b^{n-e} for e = 0..n]."""
@@ -162,10 +167,10 @@ class MonomialBasis:
         return acc / (u_of[one] * w[0])
 
 
-def eval_matrix(sys, alpha, delta1, delta2, kset, chain=None):
+def eval_matrix(sys, alpha, delta1, delta2, kset):
     """Evaluation rows (one per k in kset) over the monomial basis, exact."""
     require_regular(sys, alpha)
-    chain = chain or EvalChain(sys, alpha)
+    chain = EvalChain(sys, alpha)
     mb = MonomialBasis(sys.m, delta1, delta2)
     rows = []
     for k in sorted(kset):
@@ -175,10 +180,10 @@ def eval_matrix(sys, alpha, delta1, delta2, kset, chain=None):
     return mb, rows
 
 
-def cell_rref(sys, alpha, delta1, delta2, kset, chain=None):
+def cell_rref(sys, alpha, delta1, delta2, kset):
     """RREF of the evaluation matrix: (basis, pivot columns, reduced rows)."""
     require_regular(sys, alpha)
-    chain = chain or EvalChain(sys, alpha)
+    chain = EvalChain(sys, alpha)
     mb = MonomialBasis(sys.m, delta1, delta2)
     pivots, red = linalg.rref([mb.integer_row(chain.mat(k), chain.x(k))
                                for k in sorted(kset)])
@@ -202,39 +207,38 @@ class KernelBasis:
         return len(self.pivots)
 
 
-def kernel_basis(sys, alpha, delta1, delta2, k_min=1, max_k=24, heldout_count=4,
-                 chain=None):
+def kernel_basis(sys, alpha, delta1, delta2, max_k=MAX_K):
     """Stabilized kernel of the evaluation map on the (delta1, delta2) box.
 
-    The iterate set starts as {k_min, k_min+1} and grows, doubling while
+    The iterate set starts as {K_MIN, K_MIN+1} and grows, doubling while
     every row still adds rank and creeping by 2 afterwards (iterate bit
     sizes grow like q^k, so overshooting is expensive).  The kernel is
     accepted once it is unchanged across two consecutive enlargements and
-    every basis vector evaluates to exactly zero on heldout_count larger
+    every basis vector evaluates to exactly zero on HELDOUT_COUNT larger
     iterates; a held-out failure resumes growth, and running past max_k
     raises StabilizationFailed.
     """
     require_regular(sys, alpha)
-    chain = chain or EvalChain(sys, alpha)
+    chain = EvalChain(sys, alpha)
     mb = MonomialBasis(sys.m, delta1, delta2)
-    cap = max_k - heldout_count - k_min + 1  # largest usable iterate-set size
+    cap = max_k - HELDOUT_COUNT - K_MIN + 1  # largest usable iterate-set size
     size = 2
     history = []
-    rows = []  # evaluation rows for k_min, k_min+1, ... (grown on demand)
+    rows = []  # evaluation rows for K_MIN, K_MIN+1, ... (grown on demand)
     while True:
         if size > cap:
             raise StabilizationFailed(max_k, f"kernel of box ({delta1},{delta2})")
         while len(rows) < size:
-            k = k_min + len(rows)
+            k = K_MIN + len(rows)
             rows.append(mb.integer_row(chain.mat(k), chain.x(k)))
-        kset = tuple(range(k_min, k_min + size))
+        kset = tuple(range(K_MIN, K_MIN + size))
         pivots, red = linalg.rref(rows[:size])
         history.append((tuple(pivots), tuple(red)))
         if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
             vectors = linalg.kernel_from_rref(pivots, red, len(mb))
             # each vector times its denominator lcm, as (column, integer) pairs
             scaled = [tuple(zip(vec, clear_denominators(vec.values()))) for vec in vectors]
-            held = tuple(range(kset[-1] + 1, kset[-1] + 1 + heldout_count))
+            held = tuple(range(kset[-1] + 1, kset[-1] + 1 + HELDOUT_COUNT))
             # an empty kernel holds vacuously: skip the largest iterates yet
             ok = not scaled or all(sum(c * row[idx] for idx, c in vec) == 0
                                    for row in (mb.integer_row(chain.mat(k), chain.x(k))
@@ -245,10 +249,10 @@ def kernel_basis(sys, alpha, delta1, delta2, k_min=1, max_k=24, heldout_count=4,
         size = size * 2 if len(pivots) == size else size + 2
 
 
-def is_member(mb, coeffs, sys, alpha, kset, chain=None):
+def is_member(mb, coeffs, sys, alpha, kset):
     """True iff the coefficient vector vanishes exactly at every k in kset."""
     require_regular(sys, alpha)
-    chain = chain or EvalChain(sys, alpha)
+    chain = EvalChain(sys, alpha)
     if isinstance(coeffs, (list, tuple)):
         coeffs = {i: QQ(c) for i, c in enumerate(coeffs) if c != 0}
     return all(mb.evaluate(coeffs, chain.mat(k), chain.x(k)) == 0 for k in kset)
@@ -321,15 +325,15 @@ class DimProfile:
                 "c1_estimate": self.c1_estimate}
 
 
-def _stabilized_rank(pair, k_min, max_k, window=3):
-    """Exact rank of the row family, grown one iterate at a time.
+def _stabilized_rank(pair, max_k):
+    """Exact rank of the row family, grown one iterate at a time from K_MIN.
 
-    Accepts once `window` consecutive iterates add nothing; the larger
+    Accepts once QUIET_WINDOW consecutive iterates add nothing; the larger
     iterates double in bit size, so growth is gentle by construction.
     """
     gr = GramRank(pair)
     quiet = 0
-    k = k_min
+    k = K_MIN
     while True:
         if k > max_k:
             raise StabilizationFailed(max_k, "rank growth did not settle")
@@ -337,24 +341,22 @@ def _stabilized_rank(pair, k_min, max_k, window=3):
             quiet = 0
         else:
             quiet += 1
-            if quiet >= window:
+            if quiet >= QUIET_WINDOW:
                 return gr.rank, k
         k += 1
 
 
-def dim_profile(sys, alpha, delta1, delta2_values, k_min=1, max_k=24, window=3,
-                chain=None):
+def dim_profile(sys, alpha, delta1, delta2_values, max_k=MAX_K):
     """Stabilized ranks d(delta1, delta2) over an ascending delta2 range."""
     require_regular(sys, alpha)
     delta2_values = list(delta2_values)
     if delta2_values != sorted(delta2_values):
         raise ValueError("delta2 range must be ascending")
-    chain = chain or EvalChain(sys, alpha)
-    gp = _GramPair(chain, delta1)
+    gp = _GramPair(EvalChain(sys, alpha), delta1)
     rows = []
     prev = None
     for d2 in delta2_values:
-        r, k_top = _stabilized_rank(gp.pair_fn(d2), k_min, max_k, window)
+        r, k_top = _stabilized_rank(gp.pair_fn(d2), max_k)
         inc = None if prev is None else r - prev
         rows.append(DimRow(d2, r, inc, k_top))
         prev = r
@@ -377,12 +379,12 @@ class DoublingReport:
                 "factor": self.factor, "passed": self.passed}
 
 
-def doubling_check(sys, alpha, delta1, delta2, k_min=1, max_k=24, chain=None):
+def doubling_check(sys, alpha, delta1, delta2):
     """Exact check rank(2 delta1, delta2) <= 2^{m^2} rank(delta1, delta2)."""
     require_regular(sys, alpha)
-    chain = chain or EvalChain(sys, alpha)
-    r1, _ = _stabilized_rank(_GramPair(chain, delta1).pair_fn(delta2), k_min, max_k)
-    r2, _ = _stabilized_rank(_GramPair(chain, 2 * delta1).pair_fn(delta2), k_min, max_k)
+    chain = EvalChain(sys, alpha)
+    r1, _ = _stabilized_rank(_GramPair(chain, delta1).pair_fn(delta2), MAX_K)
+    r2, _ = _stabilized_rank(_GramPair(chain, 2 * delta1).pair_fn(delta2), MAX_K)
     factor = 2 ** (sys.m * sys.m)
     return DoublingReport(delta1, delta2, r1, r2, factor, r2 <= factor * r1)
 
@@ -390,7 +392,7 @@ def doubling_check(sys, alpha, delta1, delta2, k_min=1, max_k=24, chain=None):
 # ---------------------------------------------------------------------------
 # shift invariance
 
-def shift_check(mb, coeffs, sys, alpha, k, ell_set, chain=None):
+def shift_check(mb, coeffs, sys, alpha, k, ell_set):
     """Exact shift test of a kernel vector through the cocycle identity.
 
     For each l the product A_l(alpha) A_k(alpha^{q^l}) is formed
@@ -398,7 +400,7 @@ def shift_check(mb, coeffs, sys, alpha, k, ell_set, chain=None):
     evaluated there; True iff every evaluation is exactly zero.
     """
     require_regular(sys, alpha)
-    chain = chain or EvalChain(sys, alpha)
+    chain = EvalChain(sys, alpha)
     if isinstance(coeffs, (list, tuple)):
         coeffs = {i: QQ(c) for i, c in enumerate(coeffs) if c != 0}
     for ell in ell_set:

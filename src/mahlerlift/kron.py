@@ -18,7 +18,7 @@ spread weight over duplicates stay valid.
 from dataclasses import dataclass
 
 from .errors import NonHomogeneousPolynomial, SizeBudgetExceeded
-from .polyring import Poly, TruncSeries
+from .polyring import Poly, RatFunc, TruncSeries
 from .scalars import QQ, ZERO, ONE, qq_str
 from .systems import MahlerSystem, solve_series
 from .lifting import lift_linear_relation
@@ -243,9 +243,14 @@ def kron_system(sys, d, size_budget=DEFAULT_SIZE_BUDGET):
     """The system satisfied by all degree-d products of the solutions.
 
     Matrix A^{(x)d}, initial vector f0^{(x)d}; the determinant is
-    (det A)^{d m^(d-1)}, so regularity at any point is inherited.
+    (det A)^{d m^(d-1)}, so regularity at any point is inherited.  The
+    power is taken on the numerators and on the denominators of A, and
+    each entry is reduced once.
     """
-    A = kron_power(sys.A, d, size_budget)
+    nums = kron_power(tuple(tuple(e.num for e in row) for row in sys.A), d, size_budget)
+    dens = kron_power(tuple(tuple(e.den for e in row) for row in sys.A), d, size_budget)
+    A = tuple(tuple(RatFunc(n, p) for n, p in zip(nrow, drow))
+              for nrow, drow in zip(nums, dens))
     f0 = kron_vector_power(sys.f0, d, size_budget) if sys.f0 is not None else None
     cb = None
     if sys.coeff_bound is not None:
@@ -255,7 +260,7 @@ def kron_system(sys, d, size_budget=DEFAULT_SIZE_BUDGET):
 
 
 def lift_algebraic_relation(sys, alpha, P, D, N, override=False,
-                            size_budget=DEFAULT_SIZE_BUDGET, series=None):
+                            size_budget=DEFAULT_SIZE_BUDGET):
     """Lift a homogeneous value relation P(f(alpha)) = 0 to Q[z] coefficients.
 
     Returns a LiftedHomogeneousPoly Pbar with Pbar(alpha, X) = P(X)
@@ -266,9 +271,7 @@ def lift_algebraic_relation(sys, alpha, P, D, N, override=False,
     d = P.degree
     imap = MonomialIndexMap(sys.m, d, size_budget)
     ksys = kron_system(sys, d, size_budget)
-    if series is None:
-        series = solve_series(sys, N + 1)
-    kser = imap.coordinate_series(series, N + 1)
+    kser = imap.coordinate_series(solve_series(sys, N + 1), N + 1)
     tau = imap.tau_from_poly(P)
     lift = lift_linear_relation(ksys, alpha, tau, D, N, series=kser, override=override)
     coeffs = []
@@ -313,7 +316,10 @@ def _tokenize(s):
                     raise ValueError("malformed rational coefficient")
                 while j < n and s[j].isdigit():
                     j += 1
-            out.append(_Tok("num", QQ(s[i:j])))
+            try:
+                out.append(_Tok("num", QQ(s[i:j])))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {s[i:j]}") from None
             i = j
         elif c in "Xx":
             j = i + 1

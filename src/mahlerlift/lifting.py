@@ -118,31 +118,33 @@ def convolution_rows(series, D, N):
 def guess_function_relations(f, D, N):
     """Exact basis of {p : deg p_i <= D, sum p_i f_i == 0 mod z^N}.
 
-    The kernel of ``convolution_rows`` is permuted to component-major
-    unknowns, coefficient t of p_i at i * (D + 1) + t, before its reduced
-    echelon form is taken, so the basis is canonical; raising N can only
-    shrink the space.
+    The basis is canonical: reduced echelon over component-major unknowns,
+    coefficient t of p_i at i * (D + 1) + t; raising N can only shrink the
+    space.  With the columns of ``convolution_rows`` in reversed
+    component-major order, the kernel vector of free column c ends with a
+    1 at c and is 0 at the other free columns, so the reversed kernel basis
+    of one elimination is that echelon form.
     """
     m = len(f)
     if m == 0:
         raise ValueError("empty function family")
+    if D < 0:
+        raise ValueError(f"relation degree must be >= 0, got {D}")
     unknowns = m * (D + 1)
     if N < unknowns + GUARD:
         raise InsufficientOrder(
             f"need order >= {unknowns + GUARD} = unknowns + guard, got {N}")
     if any(s.order < N for s in f):
         raise InsufficientOrder("series order below requested relation order")
-    _, kernel = linalg.nullspace_sparse(convolution_rows(f, D, N), unknowns)
-    # degree-major column t * m + i holds coefficient t of p_i
-    dense = [[vec.get(t * m + i, ZERO) for i in range(m) for t in range(D + 1)]
-             for vec in kernel]
-    _, reduced = linalg.rref(dense)  # canonical form with leading ones
+    order = [t * m + i for i in reversed(range(m)) for t in reversed(range(D + 1))]
+    rows = [[row[c] for c in order] for row in convolution_rows(f, D, N)]
+    pivots, red = linalg.rref(rows)
     basis = []
-    for vec in reduced:
-        polys = []
-        for i in range(m):
-            polys.append(Poly(vec[i * (D + 1):(i + 1) * (D + 1)]))
-        basis.append(tuple(polys))
+    for vec in reversed(linalg.kernel_from_rref(pivots, red, unknowns)):
+        coeffs = [ZERO] * unknowns
+        for c, x in vec.items():
+            coeffs[unknowns - 1 - c] = x
+        basis.append(tuple(Poly(coeffs[i * (D + 1):(i + 1) * (D + 1)]) for i in range(m)))
     return FunctionRelationBasis(D, N, tuple(basis))
 
 
@@ -165,7 +167,7 @@ def verify_value_relation(sys, f, rel, N):
     S = ZERO
     for ti, fi in zip(rel.tau, f):
         if ti != 0:
-            S += QQ(ti) * fi.truncate(N + 1).eval_partial(alpha)
+            S += QQ(ti) * Poly(fi.coeffs[:N + 1])(alpha)
     tau_norm = sum(abs(QQ(t)) for t in rel.tau)
     T = tau_norm * C * (rho * a) ** (N + 1) / (1 - rho * a)
     absS = abs(S)
@@ -199,8 +201,7 @@ def relation_residual_order(coefficients, f):
     return order
 
 
-def lift_linear_relation(sys, alpha, tau, D, N, series=None, basis=None,
-                         override=False):
+def lift_linear_relation(sys, alpha, tau, D, N, series=None, override=False):
     """Lift a value relation at alpha to a polynomial-coefficient relation.
 
     Solves sum_j c_j B_j(alpha) = tau exactly over the guessed relation
@@ -221,8 +222,7 @@ def lift_linear_relation(sys, alpha, tau, D, N, series=None, basis=None,
                 f"partial sum {qq_str(outcome.partial_sum)} exceeds twice the tail bound")
         if outcome.status == "inconclusive":
             raise ValueRelationUnverified("increase N or pass override=True")
-    if basis is None:
-        basis = guess_function_relations(series, D, N)
+    basis = guess_function_relations(series, D, N)
     if all(t == 0 for t in tau):
         zero = tuple(Poly() for _ in range(sys.m))
         return LiftResult(zero, min(s.order for s in series))

@@ -8,12 +8,12 @@ denominators and run fraction-free (Bareiss) Gauss-Jordan on integers,
 so no step pays for a gcd; only ``rref``'s final division by the last
 pivot builds rationals, and ``pivot_columns`` skips it.
 
-``det`` and ``mat_mul`` stay generic over the entry type (anything with
-+, -, *, / and a truth value that is False for zero); ``det`` serves the
-rational matrices A(x) of an evaluation chain.  A system's determinant
-over Q(z) does not come from ``det``: ``det_fraction_free`` runs Bareiss
-elimination on the system's denominator-cleared polynomial matrix, where
-every division is exact.
+``mat_mul`` is generic over the entry ring: it multiplies the rational
+matrices A(x) of an evaluation chain and the polynomial matrices of
+``systems.cocycle``.  ``det`` takes rational matrices only, the A(x) of
+an evaluation chain.  A system's determinant over Q(z) comes from
+``det_fraction_free``: Bareiss elimination on the system's
+denominator-cleared polynomial matrix, where every division is exact.
 
 ``GramRank`` maintains the rank of a growing family of integer vectors
 through an incremental fraction-free LDL^T factorization of their Gram
@@ -175,11 +175,7 @@ def solve_particular(A, b):
 
 
 def det(A):
-    """Determinant by exact elimination with division; generic over fields.
-
-    Pivots are tested by truth value, not by ``!= 0``: a ``RatFunc`` never
-    compares equal to the integer 0, yet the zero function is falsy.
-    """
+    """Determinant of a rational matrix by exact elimination with division."""
     n = len(A)
     work = [list(row) for row in A]
     sign = 1
@@ -191,7 +187,7 @@ def det(A):
                 sel = i
                 break
         if sel is None:
-            return work[0][0] - work[0][0]  # a zero of the right type
+            return ZERO
         if sel != c:
             work[c], work[sel] = work[sel], work[c]
             sign = -sign

@@ -2,10 +2,16 @@
 
 All three types are immutable, hashable, and use the rational scalars of
 :mod:`mahlerlift.scalars`.  ``Poly`` stores coefficients by exponent with
-no trailing zeros; ``RatFunc`` keeps num/den coprime with a monic
-denominator so equality is structural; ``TruncSeries`` is a fixed-length
-coefficient prefix, and arithmetic between series truncates to the
-shorter order.
+no trailing zeros; ``TruncSeries`` is a fixed-length coefficient prefix,
+and arithmetic between series truncates to the shorter order.
+
+``RatFunc`` is a value type only: num/den coprime with a monic
+denominator, so equality and hashing are structural, plus evaluation and
+JSON.  It has no arithmetic.  Products over Q(z) are computed on
+polynomials over a common denominator, and each result entry is reduced
+once, by the constructor (see ``systems.cocycle`` and
+``kron.kron_system``).  That gcd, like the one of ``Poly.lcm``, runs on
+integers: a primitive remainder sequence, with no rational gcd per step.
 
 Multiplication is schoolbook throughout: the target scale (orders up to
 a few thousand) does not reward anything fancier, and the substitution
@@ -13,10 +19,19 @@ z -> z^q that drives everything here creates sparsity that products
 promptly refill.
 """
 
+import math
+
 from .errors import PoleAtOrigin
-from .scalars import QQ, ZERO, ONE, qq_from_str, qq_str
+from .scalars import QQ, ZERO, ONE, clear_denominators, qq_from_str, qq_str
 
 __all__ = ["Poly", "RatFunc", "TruncSeries", "series_of_ratfunc"]
+
+
+def _primitive(coeffs):
+    """The polynomial's coefficients cleared of denominators and content, as integers."""
+    ints = clear_denominators(coeffs)
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
 
 
 def _trim(coeffs):
@@ -35,20 +50,12 @@ class Poly:
         self.coeffs = _trim([c if type(c) is QQ else QQ(c) for c in coeffs])
 
     @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
     def one(cls):
         return cls((1,))
 
     @classmethod
     def constant(cls, c):
         return cls((c,))
-
-    @classmethod
-    def z(cls):
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, k, c=ONE):
@@ -162,20 +169,36 @@ class Poly:
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
     def monic(self):
         if self.is_zero():
             return self
         return self.scale(1 / self.leading())
 
     def gcd(self, other):
-        """Monic gcd by the Euclidean algorithm over Q."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """Monic gcd: the last nonzero term of the primitive remainder sequence over Z.
+
+        Each pseudo-remainder lead(b)^e a mod b is taken on integers and
+        divided by its content, so no step pays for a rational gcd.
+        """
+        if not self.coeffs or not other.coeffs:
+            return (self if other.is_zero() else other).monic()
+        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            lead, db = b[-1], len(b) - 1
+            r = a
+            while len(r) > db:
+                c, k = r[-1], len(r) - 1 - db
+                r = [lead * x for x in r[:-1]]
+                for i in range(db):
+                    r[k + i] -= c * b[i]
+                while r and r[-1] == 0:
+                    r.pop()
+            if not r:
+                return Poly(b).monic()
+            a, b = b, _primitive(r)
+        return Poly.one()
 
     def lcm(self, other):
         if self.is_zero() or other.is_zero():
@@ -220,7 +243,7 @@ class Poly:
 
 
 class RatFunc:
-    """Reduced rational function num/den with monic denominator."""
+    """Reduced rational function num/den with monic denominator; no arithmetic."""
 
     __slots__ = ("num", "den")
 
@@ -236,9 +259,10 @@ class RatFunc:
         if num.is_zero():
             num, den = Poly(), Poly.one()
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
+            if den.degree > 0:  # a constant denominator is coprime to num already
+                g = num.gcd(den)
+                if g.degree > 0:
+                    num, den = num // g, den // g
             lead = den.leading()
             if lead != 1:
                 num = num.scale(1 / lead)
@@ -258,12 +282,6 @@ class RatFunc:
     def zero(cls):
         return cls(Poly())
 
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
     def is_polynomial(self):
         return self.den == Poly.one()
 
@@ -273,42 +291,11 @@ class RatFunc:
     def __hash__(self):
         return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
 
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, Poly):
-            return RatFunc(x)
-        return RatFunc(Poly.constant(x))
-
     def __call__(self, x):
         d = self.den(x)
         if d == 0:
             raise ZeroDivisionError(f"pole at {qq_str(QQ(x))}")
         return self.num(x) / d
-
-    def substitute_power(self, q):
-        return RatFunc(self.num.substitute_power(q), self.den.substitute_power(q))
 
     def to_json(self):
         if self.is_polynomial():
@@ -405,14 +392,6 @@ class TruncSeries:
             if c != 0:
                 return i
         return None
-
-    def eval_partial(self, x):
-        """Exact value of the stored prefix at x (Horner)."""
-        x = QQ(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def to_json(self):
         return [qq_str(c) for c in self.coeffs]

@@ -233,20 +233,29 @@ def corpus_path(name):
 # cocycle iteration
 
 def cocycle(sys, k, degree_budget=4096):
-    """Symbolic A_k(z) = A(z) A(z^q) ... A(z^{q^{k-1}}); A_0 = identity."""
+    """Symbolic A_k(z) = A(z) A(z^q) ... A(z^{q^{k-1}}); A_0 = identity.
+
+    With D the denominator lcm, A_k = N_k / Delta_k where N_k is the product
+    of the polynomial matrices (D A)(z^{q^t}), t < k, and Delta_k that of the
+    D(z^{q^t}); each entry is reduced once, at the end.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > 0 and sys.q ** (k - 1) * max(1, sys.max_entry_degree()) > degree_budget:
         raise DegreeBudgetExceeded(
             f"symbolic degree q^{k - 1} * deg A exceeds budget {degree_budget}")
-    result = linalg.identity_like(sys.m, RatFunc.one(), RatFunc.zero())
-    power = 1
-    for _ in range(k):
-        step = tuple(tuple(e.substitute_power(power) if power > 1 else e for e in row)
-                     for row in sys.A)
-        result = linalg.mat_mul(result, step)
-        power *= sys.q
-    return result
+    D = sys.den_lcm()
+    step = tuple(tuple(e.num if e.den == D else (D // e.den) * e.num  # exact: den | D
+                       for e in row) for row in sys.A)
+    N = linalg.identity_like(sys.m, Poly.one(), Poly())
+    delta = Poly.one()
+    for t in range(k):
+        if t:
+            step = tuple(tuple(p.substitute_power(sys.q) for p in row) for row in step)
+            D = D.substitute_power(sys.q)
+        N = linalg.mat_mul(N, step)
+        delta = delta * D
+    return tuple(tuple(RatFunc(p, delta) for p in row) for row in N)
 
 
 class EvalChain:
@@ -296,7 +305,7 @@ class EvalChain:
         return result
 
 
-def eval_cocycle(sys, alpha, k, chain=None):
+def eval_cocycle(sys, alpha, k):
     """Exact A_k(alpha), computed incrementally (never through symbols).
 
     Requires a regularity certificate, or k strictly below its failing_k.
@@ -304,8 +313,7 @@ def eval_cocycle(sys, alpha, k, chain=None):
     cert = certify_regular(sys, alpha)
     if not cert.regular and cert.failing_k is not None and k > cert.failing_k:
         raise NotRegularAt(cert.failing_k, cert.failure_kind)
-    chain = chain or EvalChain(sys, alpha)
-    return chain.mat(k)
+    return EvalChain(sys, alpha).mat(k)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +434,11 @@ def verify_solution(sys, f):
 # ---------------------------------------------------------------------------
 # regularity certification
 
+MAX_TAIL_STEPS = 64  # iterates x -> x^q allowed before |alpha|^{q^K} < r0
+
+
 @lru_cache(maxsize=256)
-def certify_regular(sys, alpha, max_tail_steps=64):
+def certify_regular(sys, alpha):
     """Certify that A(alpha^{q^k}) is defined and invertible for all k >= 0.
 
     Exact checks run for k < K where K is the least iterate with
@@ -451,7 +462,7 @@ def certify_regular(sys, alpha, max_tail_steps=64):
     while x >= r0:
         x = x ** sys.q
         K += 1
-        if K > max_tail_steps:
+        if K > MAX_TAIL_STEPS:
             raise AlphaOutOfRange("tail radius not reached; alpha too close to 1")
     xk = alpha
     for k in range(K):

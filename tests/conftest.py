@@ -163,3 +163,75 @@ def series_times_poly(s, p):
         for j in range(s.order - i):
             out[i + j] += a * s[j]
     return TruncSeries(out)
+
+
+# Reference arithmetic over Q(z), written with the RatFunc constructor only:
+# every product and sum is reduced by a gcd, as the library did before it
+# computed cocycles and Kronecker powers on cleared polynomials.
+
+def ratfunc_mul(a, b):
+    return RatFunc(a.num * b.num, a.den * b.den)
+
+
+def ratfunc_add(a, b):
+    return RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def ratfunc_mat_mul(A, B):
+    out = []
+    for row in A:
+        new = []
+        for j in range(len(B[0])):
+            acc = RatFunc.zero()
+            for a, brow in zip(row, B):
+                acc = ratfunc_add(acc, ratfunc_mul(a, brow[j]))
+            new.append(acc)
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def ratfunc_substitute_power(A, power):
+    """Entrywise z -> z^power."""
+    if power == 1:
+        return A
+    return tuple(tuple(RatFunc(e.num.substitute_power(power), e.den.substitute_power(power))
+                       for e in row) for row in A)
+
+
+def euclid_gcd(a, b):
+    """Monic gcd by the Euclidean algorithm over Q, one rational operation at a time."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def reference_cocycle(sys_, k):
+    """A(z) A(z^q) ... A(z^{q^{k-1}}) by products over Q(z), one gcd per operation."""
+    m = sys_.m
+    out = tuple(tuple(RatFunc.one() if i == j else RatFunc.zero() for j in range(m))
+                for i in range(m))
+    for t in range(k):
+        out = ratfunc_mat_mul(out, ratfunc_substitute_power(sys_.A, sys_.q ** t))
+    return out
+
+
+def reference_det(mat):
+    """Determinant over Q(z) by elimination with division, one gcd per operation."""
+    n = len(mat)
+    work = [list(row) for row in mat]
+    result = RatFunc.one()
+    for c in range(n):
+        sel = next((i for i in range(c, n) if work[i][c].num), None)
+        if sel is None:
+            return RatFunc.zero()
+        if sel != c:
+            work[c], work[sel] = work[sel], work[c]
+            result = RatFunc(-result.num, result.den)
+        piv = work[c][c]
+        result = ratfunc_mul(result, piv)
+        for i in range(c + 1, n):
+            a = work[i][c]
+            if a.num:
+                f = RatFunc(-(a.num * piv.den), a.den * piv.num)  # -a / piv
+                work[i] = [ratfunc_add(x, ratfunc_mul(f, y)) for x, y in zip(work[i], work[c])]
+    return result

@@ -60,6 +60,29 @@ def test_hilbert_profile_is_computed_serially(capsys):
     assert code == 2 and out == ""
 
 
+def test_negative_degree_is_an_input_error(capsys):
+    """guess, lift and kron-lift refuse --deg -1 at once (exit 2, nothing on
+    stdout) instead of escalating a negative degree or answering for it."""
+    requests = [["guess", "--system", "cantor3.json", "--deg", "-1", "--json"],
+                ["lift", "--system", "cantor3.json", "--alpha", "1/2", "--tau", "1,-1,1/2",
+                 "--deg", "-1", "--json"],
+                ["kron-lift", "--system", "cantor3.json", "--alpha", "1/2",
+                 "--poly", "X1*X3 - X2*X3 + 1/2*X3^2", "--deg", "-1", "--json"]]
+    for argv in requests:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "relation degree must be >= 0" in captured.err
+
+
+def test_zero_denominator_in_poly_is_an_input_error(capsys):
+    code = cli.main(["kron-lift", "--system", "cantor2.json", "--alpha", "1/2",
+                     "--poly", "1/0*X1^2", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "zero denominator" in captured.err
+
+
 _BUDGET_CHILD = """
 import json, os, resource
 from mahlerlift import cli

@@ -8,9 +8,9 @@ from mahlerlift.kron import (HomogeneousPoly, MonomialIndexMap, kron, kron_power
                              kron_system, lift_algebraic_relation, parse_homogeneous)
 from mahlerlift.polyring import Poly, RatFunc, TruncSeries
 from mahlerlift.scalars import QQ
-from mahlerlift.systems import certify_regular, solve_series
+from mahlerlift.systems import MahlerSystem, certify_regular, solve_series
 
-from conftest import oracle_det, series_times_poly
+from conftest import oracle_det, ratfunc_mul, series_times_poly
 
 
 def _eye(n):
@@ -32,7 +32,7 @@ def test_kron_examples():
 def test_kron_power_examples(cantor2):
     A = ((QQ(1), QQ(2)), (QQ(3), QQ(4)))
     assert kron_power(A, 1) == A
-    got = kron_power(cantor2.A, 2)
+    got = kron_system(cantor2, 2).A
     z = RatFunc(Poly([0, 1]))
     z2 = RatFunc(Poly([0, 0, 1]))
     one, zero = RatFunc.one(), RatFunc.zero()
@@ -43,6 +43,41 @@ def test_kron_power_examples(cantor2):
     assert linalg.det(kron_power(A, 2)) == QQ(16)  # (det A)^{2*2} = (-2)^4
     with pytest.raises(SizeBudgetExceeded):
         kron_power(A, 9)
+
+
+def test_kron_system_matches_entrywise_products(cantor2, cantor3, thue_morse):
+    """Entry (r, c) of A^(x)d is the product over the base-m digits of r and c
+    of the entries of A, here multiplied over Q(z) one gcd at a time."""
+    rng = random.Random(77)
+
+    def rat():
+        return QQ(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def entry():
+        den = Poly([rat() or 1, rat(), 1]) if rng.random() < 0.6 else Poly.one()
+        return RatFunc(Poly([rat() for _ in range(rng.randint(1, 3))]), den)
+
+    randoms = []
+    while len(randoms) < 3:
+        m = len(randoms) + 1
+        try:
+            randoms.append(MahlerSystem(q=2, m=m, A=tuple(tuple(entry() for _ in range(m))
+                                                          for _ in range(m))))
+        except ValueError:
+            pass  # det A vanished identically
+    for sys_ in (cantor2, cantor3, thue_morse, *randoms):
+        m = sys_.m
+        for d in (1, 2, 3):
+            if m ** d > (27 if sys_.name else 4):  # det over Q[z] of a rational 8 x 8 is slow
+                continue
+            got = kron_system(sys_, d).A
+            for r in range(m ** d):
+                for c in range(m ** d):
+                    expect, rr, cc = RatFunc.one(), r, c
+                    for _ in range(d):  # digits from the last factor of the left fold
+                        expect = ratfunc_mul(sys_.A[rr % m][cc % m], expect)
+                        rr, cc = rr // m, cc // m
+                    assert got[r][c] == expect and hash(got[r][c]) == hash(expect)
 
 
 def _rand_mat(rng, n):
@@ -117,6 +152,9 @@ def test_parse_homogeneous():
         parse_homogeneous("X9", 3)
     with pytest.raises(ValueError):
         parse_homogeneous("X1 $ X2", 2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_homogeneous("1/0*X1^2", 2)
+    assert parse_homogeneous("3/0002*X1", 1).terms == {(1,): QQ(3, 2)}
 
 
 def test_lift_algebraic_main_example(cantor3, half):

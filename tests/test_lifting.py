@@ -49,7 +49,8 @@ def test_guess_basis_invariant_under_order_increase(cantor3):
 
 
 def _oracle_guess_basis(f, D, N):
-    """Reference: the component-major convolution matrix, unknown i * (D + 1) + t."""
+    """Reference with two eliminations: the kernel of the component-major
+    convolution matrix (unknown i * (D + 1) + t), then the rref of that kernel."""
     m = len(f)
     rows = [[fi[n - t] if n >= t else QQ(0) for fi in f for t in range(D + 1)]
             for n in range(N)]
@@ -62,7 +63,8 @@ def _oracle_guess_basis(f, D, N):
 def test_guess_matches_component_major_oracle(cantor2, cantor3):
     rng = random.Random(9001)
     base = solve_series(cantor2, 64) + solve_series(cantor3, 64)
-    for _ in range(40):
+    nonempty = 0
+    for _ in range(400):
         m = rng.randint(1, 4)
         f = [rng.choice(base) for _ in range(m)]  # repeats are likely
         if rng.random() < 0.5:  # a planted relation with polynomial coefficients
@@ -73,6 +75,8 @@ def test_guess_matches_component_major_oracle(cantor2, cantor3):
         N = m * (D + 1) + 16 + rng.randint(0, 8)
         got = guess_function_relations(tuple(f), D, N)
         assert got.basis == _oracle_guess_basis(f, D, N)
+        nonempty += got.dimension > 1
+    assert nonempty > 100
 
 
 def test_verify_examples(cantor3, half):
@@ -87,6 +91,10 @@ def test_verify_examples(cantor3, half):
     assert bad.tail_bound <= QQ(3, 2 ** 31)
     zero = verify_value_relation(cantor3, f, ValueRelation((QQ(0),) * 3, half), 32)
     assert zero.verified and zero.partial_sum == 0
+    # the partial sum runs through z^N, whose coefficient here is nonzero
+    assert f[0][32] != 0
+    first = verify_value_relation(cantor3, f, ValueRelation((QQ(2), QQ(0), QQ(0)), half), 32)
+    assert first.partial_sum == 2 * sum(f[0][n] * half ** n for n in range(33))
 
 
 def test_verify_preconditions(cantor3, half):

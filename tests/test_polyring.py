@@ -6,7 +6,7 @@ from mahlerlift.errors import PoleAtOrigin
 from mahlerlift.polyring import Poly, RatFunc, TruncSeries, series_of_ratfunc
 from mahlerlift.scalars import QQ
 
-from conftest import series_times_poly
+from conftest import euclid_gcd, series_times_poly
 
 
 def test_substitute_power_examples():
@@ -68,14 +68,41 @@ def test_ratfunc_normalization_structural_equality():
     assert hash(r1) == hash(r2)
 
 
-def test_ratfunc_field_ops():
+def test_ratfunc_constant_denominator_skips_gcd_same_normal_form():
+    """A constant denominator takes no gcd; the result equals, in value and in hash,
+    the same function built with a common non-constant factor, which does."""
     rng = random.Random(5)
-    for _ in range(15):
-        a = RatFunc(_rand_poly(rng), Poly([1]) + _rand_poly(rng) * Poly([0, 1]))
-        b = RatFunc(_rand_poly(rng), Poly([1]) + _rand_poly(rng) * Poly([0, 1]))
-        if not b.is_zero():
-            assert (a / b) * b == a
-        assert a - a == RatFunc.zero()
+    for _ in range(20):
+        num = _rand_poly(rng)
+        c = QQ(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        g = Poly([QQ(rng.randint(-9, 9), rng.randint(1, 9)), 0, QQ(rng.randint(1, 9), 2)])
+        fast = RatFunc(num, Poly([c]))
+        slow = RatFunc(num * g, Poly([c]) * g)
+        assert fast == slow and hash(fast) == hash(slow)
+        assert fast.den == Poly.one() and fast.num == num.scale(1 / c)
+        assert fast.to_json() == slow.to_json()
+
+
+def test_gcd_matches_euclid_over_q():
+    """The integer remainder sequence gives the monic gcd of the Euclidean
+    algorithm over Q: planted common factors, zero and constant sides,
+    negative leading coefficients and coefficients with large denominators."""
+    rng = random.Random(6)
+    planted = 0
+    for _ in range(300):
+        a, b = _rand_poly(rng, 6), _rand_poly(rng, 6)
+        h = _rand_poly(rng, 4) if rng.random() < 0.7 else Poly.one()
+        if rng.random() < 0.2:
+            h = h * Poly([QQ(rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 12)), 1])
+        a, b = a * h, b * h
+        got = a.gcd(b)
+        assert got == euclid_gcd(a, b) == b.gcd(a)
+        assert got.is_zero() or got.leading() == 1
+        planted += got.degree > 0
+    assert planted > 100
+    assert Poly().gcd(Poly()) == Poly()
+    assert Poly().gcd(Poly([0, -2])) == Poly([0, 1])
+    assert Poly([QQ(3, 7)]).gcd(Poly([1, 1])) == Poly.one()
 
 
 def test_constructors_convert_non_rationals():

@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 
-from mahlerlift import (augment_with_unit, certify_regular, cocycle, eval_cocycle, linalg,
+from mahlerlift import (augment_with_unit, certify_regular, cocycle, eval_cocycle,
                         solve_series, system_from_json, system_to_json,
                         verify_solution)
 from mahlerlift.errors import (AlphaOutOfRange, AmbiguousInitialVector,
@@ -15,7 +15,8 @@ from mahlerlift.scalars import QQ
 from mahlerlift.kron import kron_system
 from mahlerlift.systems import EvalChain, MahlerSystem
 
-from conftest import series_times_poly
+from conftest import (ratfunc_mat_mul, ratfunc_substitute_power, reference_cocycle,
+                      reference_det, series_times_poly)
 
 
 def test_cocycle_examples(cantor2, thue_morse):
@@ -57,15 +58,32 @@ def test_cocycle_identity(cantor2, cantor3, thue_morse, half):
             for ell in range(4 - k):
                 lhs = cocycle(sys_, k + ell)
                 a = cocycle(sys_, k)
-                b = cocycle(sys_, ell)
-                power = sys_.q ** k
-                if power > 1:
-                    b = tuple(tuple(e.substitute_power(power) for e in row) for row in b)
-                rhs = [[sum((a[i][t] * b[t][j] for t in range(sys_.m)),
-                            RatFunc.zero()) for j in range(sys_.m)]
-                       for i in range(sys_.m)]
-                assert all(lhs[i][j] == rhs[i][j]
-                           for i in range(sys_.m) for j in range(sys_.m))
+                b = ratfunc_substitute_power(cocycle(sys_, ell), sys_.q ** k)
+                assert lhs == ratfunc_mat_mul(a, b)
+
+
+def test_cocycle_matches_reference(cantor2, cantor3, thue_morse):
+    """The cleared-polynomial cocycle equals products over Q(z), entry by entry,
+    in the reduced form (so also in hash and JSON)."""
+    cases = [(sys_, 4) for sys_ in (cantor2, cantor3, thue_morse, augment_with_unit(cantor2))]
+    rng = random.Random(4242)
+    for q in (2, 3):
+        for m in (1, 2, 3):
+            for _ in range(2):
+                base, _ = _random_system(rng, q, m, True)
+                cases.append((base, 3 if q ** m < 27 else 2))
+                cases.append((_gauge(base, [rng.randint(0, 2) for _ in range(m)]), 2))
+    nonpoly = 0
+    for sys_, kmax in cases:
+        for k in range(kmax + 1):
+            got, expect = cocycle(sys_, k), reference_cocycle(sys_, k)
+            assert got == expect
+            assert [[hash(e) for e in row] for row in got] == \
+                [[hash(e) for e in row] for row in expect]
+            assert [[e.to_json() for e in row] for row in got] == \
+                [[e.to_json() for e in row] for row in expect]
+            nonpoly += sum(not e.is_polynomial() for row in got for e in row)
+    assert nonpoly > 0
 
 
 def test_solve_thue_morse_vs_product_oracle(thue_morse):
@@ -311,9 +329,9 @@ def _check_cleared_form(sys_):
             for u, j, p in terms:
                 assert u % q == r and p != 0
                 P[j][u] = p
-        for j in range(sys_.m):
-            assert RatFunc(row.D) * sys_.A[i][j] == RatFunc(Poly(P[j]))
-    assert sys_.det() == linalg.det(sys_.A)
+        for j, e in enumerate(sys_.A[i]):
+            assert row.D * e.num == Poly(P[j]) * e.den
+    assert sys_.det() == reference_det(sys_.A)
 
 
 def test_cleared_form_and_det_match_generic(cantor2, cantor3, thue_morse):
@@ -335,7 +353,6 @@ def test_permutation_system_zero_pivot(half):
     one, zero = RatFunc.one(), RatFunc.zero()
     sys_ = MahlerSystem(q=2, m=2, A=((zero, one), (one, zero)), f0=(QQ(1), QQ(1)), name="swap")
     assert sys_.det() == RatFunc.constant(QQ(-1))
-    assert linalg.det(sys_.A) == RatFunc.constant(QQ(-1))
     assert certify_regular(sys_, half).regular
     assert verify_solution(sys_, solve_series(sys_, 8)) == 8
 
